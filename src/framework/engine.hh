@@ -867,8 +867,16 @@ Engine::processEdgeTask(unsigned core, const EdgeTask &task,
     // ops are buffered inline and handed over in whole-task replayOps()
     // runs: deferral-safe because nothing functional reads machine state
     // mid-task (the engine consults coreNow() only between tasks), so
-    // the machine event order and the functional order both match the
-    // legacy per-event emission exactly.
+    // the functional order matches the legacy per-event emission.
+    //
+    // The machine event order matches it only while the update lambda
+    // emits nothing itself. BC and KC's lambdas call emitLoad() live
+    // (the depth / removed-flag test), so within one task those loads
+    // reach the machine first, in edge order, and the task's buffered
+    // prologue, edge reads and atomics follow at the flush. It stays
+    // that way for now: buffering those loads in place would change
+    // BC and KC cycle counts, and with them the workload digests the
+    // host benchmark pins (benchmark/workloads.cc).
     const VertexId u = task.u;
     const bool sim = mach_ != nullptr;
     if (task.first_segment) {

@@ -1,109 +1,130 @@
 /**
  * @file
  * Edge-list to CSR conversion implementation.
+ *
+ * Construction is linear in vertices plus arcs. A stable two-pass
+ * counting sort (least significant key first: destination, then source)
+ * lays the out-CSR down with every row already sorted by destination.
+ * Scattering the finished out-CSR in ascending source order then gives
+ * in-rows that are sorted too. Every row ends up ordered by (neighbor,
+ * weight), with no comparison sort except inside runs of parallel arcs.
  */
 
 #include "graph/builder.hh"
 
 #include <algorithm>
-#include <numeric>
 
+#include "graph/csr_scatter.hh"
 #include "util/logging.hh"
 
 namespace omega {
 
-namespace {
-
-/** Build one CSR direction from arcs keyed by @p key / valued by @p val. */
-template <typename KeyFn, typename ValFn>
-void
-buildDirection(VertexId num_vertices, const EdgeList &edges, KeyFn key,
-               ValFn val, std::vector<EdgeId> &offsets,
-               std::vector<VertexId> &neighbors,
-               std::vector<std::int32_t> &weights)
-{
-    offsets.assign(num_vertices + std::size_t(1), 0);
-    for (const Edge &e : edges)
-        ++offsets[key(e) + 1];
-    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
-    neighbors.resize(edges.size());
-    weights.resize(edges.size());
-    std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
-    for (const Edge &e : edges) {
-        const EdgeId pos = cursor[key(e)]++;
-        neighbors[pos] = val(e);
-        weights[pos] = e.weight;
-    }
-    // Sort each row by neighbor id for deterministic traversal and O(log d)
-    // membership queries (triangle counting uses binary search).
-    for (VertexId v = 0; v < num_vertices; ++v) {
-        const EdgeId lo = offsets[v];
-        const EdgeId hi = offsets[v + 1];
-        std::vector<std::pair<VertexId, std::int32_t>> tmp;
-        tmp.reserve(hi - lo);
-        for (EdgeId i = lo; i < hi; ++i)
-            tmp.emplace_back(neighbors[i], weights[i]);
-        std::sort(tmp.begin(), tmp.end());
-        for (EdgeId i = lo; i < hi; ++i) {
-            neighbors[i] = tmp[i - lo].first;
-            weights[i] = tmp[i - lo].second;
-        }
-    }
-}
-
-} // namespace
-
 Graph
 buildGraph(VertexId num_vertices, EdgeList edges, const BuildOptions &opts)
 {
+    const VertexId n = num_vertices;
     for (const Edge &e : edges) {
-        omega_assert(e.src < num_vertices && e.dst < num_vertices,
-                     "edge endpoint out of range");
+        omega_assert(e.src < n && e.dst < n, "edge endpoint out of range");
     }
 
-    if (opts.symmetrize) {
-        const std::size_t n = edges.size();
-        edges.reserve(2 * n);
-        for (std::size_t i = 0; i < n; ++i) {
-            const Edge &e = edges[i];
-            if (e.src != e.dst)
-                edges.push_back(Edge{e.dst, e.src, e.weight});
+    // The arcs: every input edge, plus its mirror when symmetrizing,
+    // minus self loops when removing them. They are enumerated twice and
+    // never materialized as a list.
+    auto for_each_arc = [&edges, &opts](auto &&arc) {
+        for (const Edge &e : edges) {
+            if (e.src == e.dst) {
+                if (!opts.remove_self_loops)
+                    arc(e.src, e.dst, e.weight);
+                continue;
+            }
+            arc(e.src, e.dst, e.weight);
+            if (opts.symmetrize)
+                arc(e.dst, e.src, e.weight);
         }
-    }
+    };
 
-    if (opts.remove_self_loops) {
-        edges.erase(std::remove_if(edges.begin(), edges.end(),
-                                   [](const Edge &e) {
-                                       return e.src == e.dst;
-                                   }),
-                    edges.end());
-    }
+    std::vector<EdgeId> out_off(n + std::size_t(1), 0);
+    std::vector<EdgeId> in_off(n + std::size_t(1), 0);
+    for_each_arc([&](VertexId s, VertexId d, std::int32_t) {
+        ++out_off[s + 1];
+        ++in_off[d + 1];
+    });
+    countsToStarts(out_off);
+    countsToStarts(in_off);
+    const EdgeId arcs = in_off[n];
 
-    if (opts.deduplicate) {
-        std::sort(edges.begin(), edges.end(),
-                  [](const Edge &a, const Edge &b) {
-                      if (a.src != b.src)
-                          return a.src < b.src;
-                      if (a.dst != b.dst)
-                          return a.dst < b.dst;
-                      return a.weight < b.weight;
-                  });
-        edges.erase(std::unique(edges.begin(), edges.end(),
-                                [](const Edge &a, const Edge &b) {
-                                    return a.src == b.src && a.dst == b.dst;
-                                }),
-                    edges.end());
-    }
+    // Pass 1 scatters by destination, the less significant key. The
+    // result is an in-CSR whose rows keep input order.
+    std::vector<VertexId> by_dst_src(arcs);
+    std::vector<std::int32_t> by_dst_w(arcs);
+    for_each_arc([&](VertexId s, VertexId d, std::int32_t w) {
+        const EdgeId pos = in_off[d]++;
+        by_dst_src[pos] = s;
+        by_dst_w[pos] = w;
+    });
+    cursorsToOffsets(in_off);
+    EdgeList().swap(edges);
 
-    std::vector<EdgeId> out_off, in_off;
-    std::vector<VertexId> out_nbr, in_nbr;
-    std::vector<std::int32_t> out_w, in_w;
-    buildDirection(
-        num_vertices, edges, [](const Edge &e) { return e.src; },
-        [](const Edge &e) { return e.dst; }, out_off, out_nbr, out_w);
-    buildDirection(
-        num_vertices, edges, [](const Edge &e) { return e.dst; },
-        [](const Edge &e) { return e.src; }, in_off, in_nbr, in_w);
+    // Pass 2 scatters that by source, walking destinations in ascending
+    // order, so every out-row comes out sorted by destination.
+    auto identity = [](VertexId v) { return v; };
+    std::vector<VertexId> out_nbr(arcs);
+    std::vector<std::int32_t> out_w(arcs);
+    scatterTransposed(n, in_off.data(), by_dst_src.data(), by_dst_w.data(),
+                      identity, out_off.data(), out_nbr.data(),
+                      out_w.data());
+    cursorsToOffsets(out_off);
+    std::vector<VertexId>().swap(by_dst_src);
+    std::vector<std::int32_t>().swap(by_dst_w);
+
+    // Order each run of parallel arcs by weight; deduplication keeps the
+    // first, lightest arc of each run. Compacts in place.
+    EdgeId kept = 0;
+    EdgeId row_begin = 0;
+    for (VertexId s = 0; s < n; ++s) {
+        const EdgeId row_end = out_off[s + 1];
+        for (EdgeId i = row_begin; i < row_end;) {
+            EdgeId run_end = i + 1;
+            while (run_end < row_end && out_nbr[run_end] == out_nbr[i])
+                ++run_end;
+            if (run_end - i > 1)
+                std::sort(out_w.data() + i, out_w.data() + run_end);
+            const EdgeId keep_end = opts.deduplicate ? i + 1 : run_end;
+            for (; i < keep_end; ++i, ++kept) {
+                out_nbr[kept] = out_nbr[i];
+                out_w[kept] = out_w[i];
+            }
+            i = run_end;
+        }
+        row_begin = row_end;
+        out_off[s + 1] = kept;
+    }
+    out_nbr.resize(kept);
+    out_nbr.shrink_to_fit();
+    out_w.resize(kept);
+    out_w.shrink_to_fit();
+
+    std::vector<VertexId> in_nbr;
+    std::vector<std::int32_t> in_w;
+    if (opts.symmetrize) {
+        // The arcs are closed under reversal, so in-rows equal out-rows.
+        in_off = out_off;
+        in_nbr = out_nbr;
+        in_w = out_w;
+    } else {
+        // Scattering in ascending source order sorts each in-row by
+        // source; parallel arcs keep their weight order.
+        std::fill(in_off.begin(), in_off.end(), 0);
+        for (VertexId d : out_nbr)
+            ++in_off[d + 1];
+        countsToStarts(in_off);
+        in_nbr.resize(kept);
+        in_w.resize(kept);
+        scatterTransposed(n, out_off.data(), out_nbr.data(), out_w.data(),
+                          identity, in_off.data(), in_nbr.data(),
+                          in_w.data());
+        cursorsToOffsets(in_off);
+    }
 
     return Graph(num_vertices, std::move(out_off), std::move(out_nbr),
                  std::move(out_w), std::move(in_off), std::move(in_nbr),

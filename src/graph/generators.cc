@@ -36,18 +36,12 @@ generateRmat(unsigned scale, unsigned edge_factor, Rng &rng,
             const double abc = ab + params.c;
             const double norm = abc + d;
             const double r = rng.nextDouble() * norm;
-            src <<= 1;
-            dst <<= 1;
-            if (r < a) {
-                // top-left quadrant: no bits set
-            } else if (r < ab) {
-                dst |= 1;
-            } else if (r < abc) {
-                src |= 1;
-            } else {
-                src |= 1;
-                dst |= 1;
-            }
+            // Quadrants in order a | b | c | d: the source bit is set in
+            // c and d, the destination bit in b and d. Computed without
+            // branches, since r lands in each quadrant unpredictably.
+            src = (src << 1) | VertexId(r >= ab);
+            dst = (dst << 1) |
+                  (VertexId(r >= a) & VertexId(r < ab)) | VertexId(r >= abc);
         }
         const auto w = static_cast<std::int32_t>(
             1 + rng.nextBounded(static_cast<std::uint64_t>(

@@ -6,8 +6,8 @@
 #include "graph/graph.hh"
 
 #include <algorithm>
-#include <numeric>
 
+#include "graph/csr_scatter.hh"
 #include "util/logging.hh"
 
 namespace omega {
@@ -71,55 +71,61 @@ Graph
 Graph::permuted(const std::vector<VertexId> &perm) const
 {
     omega_assert(perm.size() == num_vertices_, "permutation size mismatch");
-
-    std::vector<EdgeId> out_off(num_vertices_ + 1, 0);
-    std::vector<EdgeId> in_off(num_vertices_ + 1, 0);
+    // Slots no entry names keep an out-of-range id, which renumbered()
+    // rejects.
+    std::vector<VertexId> order(num_vertices_, num_vertices_);
     for (VertexId v = 0; v < num_vertices_; ++v) {
-        out_off[perm[v] + 1] = outDegree(v);
-        in_off[perm[v] + 1] = inDegree(v);
+        omega_assert(perm[v] < num_vertices_, "permutation entry too large");
+        order[perm[v]] = v;
     }
-    std::partial_sum(out_off.begin(), out_off.end(), out_off.begin());
-    std::partial_sum(in_off.begin(), in_off.end(), in_off.begin());
+    return renumbered(order);
+}
 
+Graph
+Graph::renumbered(const std::vector<VertexId> &order) const
+{
+    const VertexId n = num_vertices_;
+    omega_assert(order.size() == n, "ordering size mismatch");
+
+    // Each new row's start, indexed by the vertex's old id, is its fill
+    // cursor.
+    std::vector<EdgeId> out_off(n + std::size_t(1));
+    std::vector<EdgeId> in_off(n + std::size_t(1));
+    std::vector<bool> seen(n, false);
+    EdgeId out_pos = 0;
+    EdgeId in_pos = 0;
+    for (VertexId k = 0; k < n; ++k) {
+        const VertexId v = order[k];
+        omega_assert(v < n && !seen[v], "ordering is not a permutation");
+        seen[v] = true;
+        out_off[v] = out_pos;
+        in_off[v] = in_pos;
+        out_pos += outDegree(v);
+        in_pos += inDegree(v);
+    }
+
+    // Each direction is the transpose of the other. Walking the new ids
+    // in ascending order through the opposite direction's rows fills
+    // every row sorted by neighbor, with parallel arcs in the weight
+    // order their source row kept, so no row needs sorting afterwards.
     std::vector<VertexId> out_nbr(out_neighbors_.size());
     std::vector<std::int32_t> out_w(out_weights_.size());
     std::vector<VertexId> in_nbr(in_neighbors_.size());
     std::vector<std::int32_t> in_w(in_weights_.size());
+    auto old_id = [&order](VertexId k) { return order[k]; };
+    scatterTransposed(n, in_offsets_.data(), in_neighbors_.data(),
+                      in_weights_.data(), old_id, out_off.data(),
+                      out_nbr.data(), out_w.data());
+    scatterTransposed(n, out_offsets_.data(), out_neighbors_.data(),
+                      out_weights_.data(), old_id, in_off.data(),
+                      in_nbr.data(), in_w.data());
 
-    for (VertexId v = 0; v < num_vertices_; ++v) {
-        const VertexId nv = perm[v];
-        EdgeId pos = out_off[nv];
-        auto nbrs = outNeighbors(v);
-        auto ws = outWeights(v);
-        for (std::size_t i = 0; i < nbrs.size(); ++i, ++pos) {
-            out_nbr[pos] = perm[nbrs[i]];
-            out_w[pos] = ws[i];
-        }
-        pos = in_off[nv];
-        nbrs = inNeighbors(v);
-        ws = inWeights(v);
-        for (std::size_t i = 0; i < nbrs.size(); ++i, ++pos) {
-            in_nbr[pos] = perm[nbrs[i]];
-            in_w[pos] = ws[i];
-        }
-    }
-    // Keep neighbor lists sorted for deterministic traversal order.
-    for (VertexId v = 0; v < num_vertices_; ++v) {
-        auto sort_range = [](std::vector<VertexId> &nbr,
-                             std::vector<std::int32_t> &w, EdgeId lo,
-                             EdgeId hi) {
-            std::vector<std::pair<VertexId, std::int32_t>> tmp;
-            tmp.reserve(hi - lo);
-            for (EdgeId i = lo; i < hi; ++i)
-                tmp.emplace_back(nbr[i], w[i]);
-            std::sort(tmp.begin(), tmp.end());
-            for (EdgeId i = lo; i < hi; ++i) {
-                nbr[i] = tmp[i - lo].first;
-                w[i] = tmp[i - lo].second;
-            }
-        };
-        sort_range(out_nbr, out_w, out_off[v], out_off[v + 1]);
-        sort_range(in_nbr, in_w, in_off[v], in_off[v + 1]);
+    // The cursors are spent; lay the offsets down in new-id order.
+    out_off[0] = 0;
+    in_off[0] = 0;
+    for (VertexId k = 0; k < n; ++k) {
+        out_off[k + 1] = out_off[k] + outDegree(order[k]);
+        in_off[k + 1] = in_off[k] + inDegree(order[k]);
     }
 
     return Graph(num_vertices_, std::move(out_off), std::move(out_nbr),

@@ -108,6 +108,15 @@ class Graph
     /** Rebuild the graph with vertices renamed by @p perm (new = perm[old]). */
     Graph permuted(const std::vector<VertexId> &perm) const;
 
+    /**
+     * Rebuild the graph with new vertex k being old vertex @p order[k]
+     * (the inverse of permuted's argument; it needs no second n-sized
+     * array). Linear time: relies on the invariant buildGraph
+     * establishes, that the in- and out-CSR hold the same arcs with every
+     * row sorted by (neighbor, weight).
+     */
+    Graph renumbered(const std::vector<VertexId> &order) const;
+
     /** Recover an edge list (arcs) from the out-CSR. */
     EdgeList toEdgeList() const;
 

@@ -157,6 +157,10 @@ loadGraphFile(const std::string &path, const BuildOptions &opts)
     } else if (!edges.empty()) {
         n = max_vertex + 1;
     }
+    if (n > kMaxLoadedVertices) {
+        fatal("graph file '", path, "' has too many vertices: ", n,
+              " (the loader accepts at most ", kMaxLoadedVertices, ")");
+    }
     return buildGraph(n, std::move(edges), opts);
 }
 

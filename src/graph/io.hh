@@ -33,10 +33,20 @@ EdgeList readEdgeList(std::istream &is, VertexId &max_vertex,
                       std::optional<VertexId> *declared_vertices = nullptr);
 
 /**
+ * Largest vertex count loadGraphFile accepts: 2^27, about 3x the 41.6M
+ * vertices of twitter-2010, the largest graph in the paper. The count
+ * sizes the CSR offset arrays, so a one-line file naming vertex
+ * 4294967294 would otherwise request about 32 GiB of offsets.
+ */
+inline constexpr VertexId kMaxLoadedVertices = VertexId(1) << 27;
+
+/**
  * Load a file and build a graph (fatal() on I/O and parse errors). A
  * "# vertices N" header pins the vertex count — preserving isolated
  * trailing vertices — and an edge referencing a vertex outside the
- * declared range is an error.
+ * declared range is an error. A vertex count above kMaxLoadedVertices,
+ * declared or implied by the largest id, is rejected before the graph
+ * is built.
  */
 Graph loadGraphFile(const std::string &path, const BuildOptions &opts = {});
 

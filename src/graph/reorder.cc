@@ -74,26 +74,13 @@ slashburnLiteOrdering(const Graph &g)
     return order;
 }
 
-} // namespace
-
-std::string
-reorderKindName(ReorderKind kind)
-{
-    switch (kind) {
-      case ReorderKind::Identity: return "identity";
-      case ReorderKind::InDegreeSort: return "in-degree-sort";
-      case ReorderKind::InDegreeTopSort: return "in-degree-top-sort";
-      case ReorderKind::InDegreeNthElement: return "in-degree-nth-element";
-      case ReorderKind::OutDegreeSort: return "out-degree-sort";
-      case ReorderKind::SlashburnLite: return "slashburn-lite";
-      case ReorderKind::Random: return "random";
-    }
-    return "?";
-}
-
+/**
+ * The old ids in their new order (hottest first): new id k is old vertex
+ * order[k]. buildReorderPermutation returns its inverse.
+ */
 std::vector<VertexId>
-buildReorderPermutation(const Graph &g, ReorderKind kind,
-                        double hot_fraction, std::uint64_t seed)
+buildReorderOrdering(const Graph &g, ReorderKind kind, double hot_fraction,
+                     std::uint64_t seed)
 {
     const VertexId n = g.numVertices();
     auto in_degree_cmp = [&g](VertexId a, VertexId b) {
@@ -155,14 +142,39 @@ buildReorderPermutation(const Graph &g, ReorderKind kind,
       }
     }
     omega_assert(order.size() == n, "ordering size mismatch");
-    return orderingToPermutation(order);
+    return order;
+}
+
+} // namespace
+
+std::string
+reorderKindName(ReorderKind kind)
+{
+    switch (kind) {
+      case ReorderKind::Identity: return "identity";
+      case ReorderKind::InDegreeSort: return "in-degree-sort";
+      case ReorderKind::InDegreeTopSort: return "in-degree-top-sort";
+      case ReorderKind::InDegreeNthElement: return "in-degree-nth-element";
+      case ReorderKind::OutDegreeSort: return "out-degree-sort";
+      case ReorderKind::SlashburnLite: return "slashburn-lite";
+      case ReorderKind::Random: return "random";
+    }
+    return "?";
+}
+
+std::vector<VertexId>
+buildReorderPermutation(const Graph &g, ReorderKind kind,
+                        double hot_fraction, std::uint64_t seed)
+{
+    return orderingToPermutation(
+        buildReorderOrdering(g, kind, hot_fraction, seed));
 }
 
 Graph
 reorderGraph(const Graph &g, ReorderKind kind, double hot_fraction,
              std::uint64_t seed)
 {
-    return g.permuted(buildReorderPermutation(g, kind, hot_fraction, seed));
+    return g.renumbered(buildReorderOrdering(g, kind, hot_fraction, seed));
 }
 
 double

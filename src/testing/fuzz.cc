@@ -115,56 +115,57 @@ FuzzSpec::describe() const
 Graph
 FuzzSpec::materialize() const
 {
-    Rng rng(mixSeed(*this));
     BuildOptions opts;
     opts.symmetrize = symmetrize;
+    VertexId n = 0;
+    EdgeList edges = rawEdges(n);
+    return buildGraph(n, std::move(edges), opts);
+}
+
+EdgeList
+FuzzSpec::rawEdges(VertexId &num_vertices) const
+{
+    Rng rng(mixSeed(*this));
+    num_vertices = vertices;
 
     switch (family) {
       case FuzzFamily::Rmat: {
         const unsigned scale = std::max<unsigned>(
             1, std::bit_width(std::max<VertexId>(vertices, 2) - 1));
-        return buildGraph(VertexId{1} << scale,
-                          generateRmat(scale, edge_factor, rng), opts);
+        num_vertices = VertexId{1} << scale;
+        return generateRmat(scale, edge_factor, rng);
       }
       case FuzzFamily::BarabasiAlbert:
-        return buildGraph(
-            vertices,
-            generateBarabasiAlbert(vertices,
-                                   std::max(edge_factor / 2, 1u), rng),
-            opts);
+        return generateBarabasiAlbert(vertices,
+                                      std::max(edge_factor / 2, 1u), rng);
       case FuzzFamily::RoadMesh: {
         VertexId side = 2;
         while ((side + 1) * (side + 1) <= vertices)
             ++side;
-        return buildGraph(side * side,
-                          generateRoadMesh(side, side, 0.1, 0.05, rng),
-                          opts);
+        num_vertices = side * side;
+        return generateRoadMesh(side, side, 0.1, 0.05, rng);
       }
       case FuzzFamily::ErdosRenyi:
-        return buildGraph(
-            vertices,
-            generateErdosRenyi(vertices,
-                               static_cast<EdgeId>(vertices) *
-                                   std::max(edge_factor, 1u),
-                               rng),
-            opts);
+        return generateErdosRenyi(vertices,
+                                  static_cast<EdgeId>(vertices) *
+                                      std::max(edge_factor, 1u),
+                                  rng);
       case FuzzFamily::Ring:
-        return buildGraph(vertices, ringEdges(vertices, rng), opts);
+        return ringEdges(vertices, rng);
       case FuzzFamily::Star:
-        return buildGraph(vertices, starEdges(vertices, rng), opts);
+        return starEdges(vertices, rng);
       case FuzzFamily::SelfLoopMultiEdge:
-        return buildGraph(vertices, dirtyEdges(vertices, edge_factor, rng),
-                          opts);
+        return dirtyEdges(vertices, edge_factor, rng);
       case FuzzFamily::Disconnected:
-        return buildGraph(vertices,
-                          disconnectedEdges(vertices, edge_factor, rng),
-                          opts);
+        return disconnectedEdges(vertices, edge_factor, rng);
       case FuzzFamily::SingleVertex:
         // The input carries a self loop; the builder's default cleaning
         // removes it, leaving one isolated vertex.
-        return buildGraph(1, {{0, 0, 1}}, opts);
+        num_vertices = 1;
+        return {{0, 0, 1}};
       case FuzzFamily::Empty:
-        return buildGraph(0, {}, opts);
+        num_vertices = 0;
+        return {};
     }
     panic("unknown fuzz family");
 }

@@ -76,6 +76,12 @@ struct FuzzSpec
     Graph materialize() const;
 
     /**
+     * The raw arc list materialize() builds from, before any cleaning
+     * (self loops and duplicates included); sets @p num_vertices.
+     */
+    EdgeList rawEdges(VertexId &num_vertices) const;
+
+    /**
      * Derive a full spec from a single 64-bit fuzz seed (the harness's
      * randomized mode). Deterministic; the degenerate Empty/SingleVertex
      * families are excluded because the fixed matrix always covers them.

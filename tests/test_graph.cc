@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "graph/builder.hh"
@@ -127,6 +128,32 @@ TEST(Graph, PermutedPreservesStructure)
     EXPECT_TRUE(found);
     EXPECT_EQ(p.outDegree(2), g.outDegree(0));
     EXPECT_EQ(p.inDegree(0), g.inDegree(1));
+}
+
+TEST(Graph, RenumberedIsPermutedByTheInverse)
+{
+    EdgeList edges{{0, 1, 4}, {1, 2, 5}, {2, 0, 6}, {0, 2, 7}};
+    Graph g = buildGraph(3, edges);
+    // perm {2, 0, 1} sends old 1 to new 0, old 2 to 1 and old 0 to 2.
+    const Graph a = g.permuted({2, 0, 1});
+    const Graph b = g.renumbered({1, 2, 0});
+    for (VertexId v = 0; v < 3; ++v) {
+        const auto an = a.outNeighbors(v);
+        const auto bn = b.outNeighbors(v);
+        EXPECT_TRUE(std::equal(an.begin(), an.end(), bn.begin(), bn.end()));
+        const auto ai = a.inNeighbors(v);
+        const auto bi = b.inNeighbors(v);
+        EXPECT_TRUE(std::equal(ai.begin(), ai.end(), bi.begin(), bi.end()));
+    }
+}
+
+TEST(Graph, RenamingMustBeAPermutation)
+{
+    Graph g = buildGraph(3, {{0, 1, 1}, {1, 2, 1}});
+    EXPECT_DEATH((void)g.permuted({0, 0, 1}), "not a permutation");
+    EXPECT_DEATH((void)g.permuted({0, 1, 3}), "permutation entry");
+    EXPECT_DEATH((void)g.renumbered({2, 1, 2}), "not a permutation");
+    EXPECT_DEATH((void)g.renumbered({0, 1}), "ordering size");
 }
 
 TEST(Graph, ToEdgeListRoundTrip)

@@ -227,6 +227,30 @@ TEST_F(IoFiles, RejectsCorruptVertexHeader)
                  "invalid vertex count");
 }
 
+TEST_F(IoFiles, RejectsHugeDeclaredVertexCount)
+{
+    // Accepted by the header parser (it fits VertexId), but building
+    // would allocate ~32 GiB of offsets for a one-edge graph.
+    {
+        std::ofstream os(path("hugehdr.el"));
+        os << "# vertices 4294967295 arcs 1 directed\n"
+           << "0 1\n";
+    }
+    EXPECT_DEATH((void)loadGraphFile(path("hugehdr.el")),
+                 "too many vertices: 4294967295");
+}
+
+TEST_F(IoFiles, RejectsHugeImpliedVertexCount)
+{
+    // The largest id a line may name; n = id + 1 is out of bounds.
+    {
+        std::ofstream os(path("hugeid.el"));
+        os << "0 4294967294\n";
+    }
+    EXPECT_DEATH((void)loadGraphFile(path("hugeid.el")),
+                 "too many vertices: 4294967295");
+}
+
 TEST_F(IoFiles, NegativeWeightsAreValid)
 {
     {

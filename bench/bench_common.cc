@@ -202,30 +202,6 @@ runKey(const DatasetSpec &spec, AlgorithmKind algo, MachineKind kind,
     return os.str();
 }
 
-void
-saveReplay(SnapshotWriter &w, const ScriptReplayStats &rs)
-{
-    // blocking_waits is wall-clock-dependent and never serialized.
-    w.putU64(rs.epochs);
-    w.putU64(rs.merged_items);
-    w.putU64(rs.merged_ops);
-    w.putU64(rs.max_queue_depth);
-    w.putU64(rs.concurrent_hook_items);
-}
-
-ScriptReplayStats
-restoreReplay(SnapshotReader &r)
-{
-    ScriptReplayStats rs;
-    rs.epochs = r.getU64();
-    rs.merged_items = r.getU64();
-    rs.merged_ops = r.getU64();
-    rs.max_queue_depth = r.getU64();
-    rs.concurrent_hook_items = r.getU64();
-    rs.blocking_waits = 0;
-    return rs;
-}
-
 /**
  * Journal record of one completed run: the run key plus everything
  * recordCompleted() consumes. MachineParams are NOT serialized — the
@@ -240,7 +216,7 @@ encodeJournaledRun(SnapshotWriter &w, const std::string &key,
     w.putString(key);
     w.putU64(run.outcome.cycles);
     run.outcome.stats.save(w);
-    saveReplay(w, run.outcome.replay);
+    run.outcome.replay.save(w);
     w.putString(run.stat_tree_json);
     w.putString(run.fault_json);
     run.intervals.save(w);
@@ -255,7 +231,7 @@ decodeJournaledRun(SnapshotReader &r, const MachineParams &params,
     run.outcome.params = params;
     run.outcome.cycles = r.getU64();
     run.outcome.stats.restore(r);
-    run.outcome.replay = restoreReplay(r);
+    run.outcome.replay.restore(r);
     run.stat_tree_json = r.getString();
     run.fault_json = r.getString();
     run.intervals = IntervalRecorder(interval_cycles);

@@ -382,30 +382,31 @@ class ProfileMachine : public MemorySystem
     {
         config_ = config;
     }
-    void compute(unsigned, std::uint64_t ops) override
-    {
-        stats_.instructions += ops;
-    }
     void
-    memAccess(const MemAccess &access) override
+    replayOps(unsigned, std::span<const EngineOp> ops) override
     {
-        ++stats_.l1_accesses; // total memory operations
-        if (access.cls == AccessClass::VertexProp)
-            count(access.vertex);
-    }
-    void
-    readSrcProp(unsigned, VertexId vertex, std::uint64_t,
-                std::uint32_t) override
-    {
-        ++stats_.l1_accesses;
-        count(vertex);
-    }
-    void
-    atomicUpdate(const AtomicRequest &request) override
-    {
-        ++stats_.l1_accesses;
-        ++stats_.atomics_total;
-        count(request.vertex);
+        for (const EngineOp &op : ops) {
+            switch (op.kind) {
+              case EngineOpKind::Compute:
+                stats_.instructions += op.arg;
+                break;
+              case EngineOpKind::Load:
+              case EngineOpKind::Store:
+                ++stats_.l1_accesses; // total memory operations
+                if (op.cls == AccessClass::VertexProp)
+                    count(op.vertex);
+                break;
+              case EngineOpKind::SrcProp:
+                ++stats_.l1_accesses;
+                count(op.vertex);
+                break;
+              case EngineOpKind::Atomic:
+                ++stats_.l1_accesses;
+                ++stats_.atomics_total;
+                count(op.vertex);
+                break;
+            }
+        }
     }
     void barrier() override {}
     void endIteration() override {}

@@ -157,46 +157,32 @@ class Engine
      *  more phases. Profiled runs use it to size phase attribution. */
     std::uint64_t phases() const { return phases_; }
 
-    /** @name Raw event emission (custom algorithms: TC, KC). @{ */
+    /**
+     * @name Raw event emission (custom algorithms: TC, KC).
+     * Each emit delivers one op to the machine immediately, as a one-op
+     * replayOps() span. They are never appended to the edge task's op
+     * buffer: an update lambda that emits live (BC, KC) must keep its
+     * loads ahead of its task's buffered ops (DESIGN.md "Impure phases").
+     * @{
+     */
     void
-    emitCompute(unsigned core, std::uint64_t ops)
+    emitCompute(unsigned core, std::uint32_t ops)
     {
-        if (mach_)
-            mach_->compute(core, ops);
+        emitOp(core, EngineOp::compute(ops));
     }
     void
     emitLoad(unsigned core, std::uint64_t addr, std::uint32_t size,
              AccessClass cls, bool blocking = false, VertexId vertex = 0,
              bool sequential = false)
     {
-        if (!mach_)
-            return;
-        MemAccess a;
-        a.core = core;
-        a.op = MemOp::Load;
-        a.addr = addr;
-        a.size = size;
-        a.cls = cls;
-        a.blocking = blocking;
-        a.sequential = sequential;
-        a.vertex = vertex;
-        mach_->memAccess(a);
+        emitOp(core, EngineOp::load(addr, size, cls, blocking, vertex,
+                                    sequential));
     }
     void
     emitStore(unsigned core, std::uint64_t addr, std::uint32_t size,
               AccessClass cls, VertexId vertex = 0, bool sequential = false)
     {
-        if (!mach_)
-            return;
-        MemAccess a;
-        a.core = core;
-        a.op = MemOp::Store;
-        a.addr = addr;
-        a.size = size;
-        a.cls = cls;
-        a.sequential = sequential;
-        a.vertex = vertex;
-        mach_->memAccess(a);
+        emitOp(core, EngineOp::store(addr, size, cls, vertex, sequential));
     }
     /** Stream @p bytes sequentially at line granularity (memset-like). */
     void emitStreaming(std::uint64_t base, std::uint64_t bytes, bool write,
@@ -242,10 +228,9 @@ class Engine
     void
     emitSrcPropRead(unsigned core, VertexId u)
     {
-        if (!mach_ || !src_prop_)
-            return;
-        mach_->readSrcProp(core, u, src_prop_->addrOf(u),
-                           src_prop_->typeSize());
+        if (src_prop_)
+            emitOp(core, EngineOp::srcProp(u, src_prop_->addrOf(u),
+                                           src_prop_->typeSize()));
     }
     /** @} */
 
@@ -481,6 +466,14 @@ class Engine
     /** Items generated ahead per core between epoch barriers (a batching
      *  knob only — replay order and content cannot depend on it). */
     static constexpr unsigned kScriptEpochItems = 64;
+
+    /** Deliver one live op to the machine (raw event emission). */
+    void
+    emitOp(unsigned core, const EngineOp &op)
+    {
+        if (mach_)
+            mach_->replayOps(core, {&op, 1});
+    }
 
     /** Flush the buffered ops of the current (impure) edge task. */
     void

@@ -233,12 +233,6 @@ OmegaMachine::refreshWatchdog()
 }
 
 void
-OmegaMachine::compute(unsigned core, std::uint64_t ops)
-{
-    tiles_[core].core.compute(ops);
-}
-
-void
 OmegaMachine::countVertexAccess(VertexId vertex)
 {
     ++vtxprop_accesses_;
@@ -717,7 +711,7 @@ OmegaMachine::saveState(SnapshotWriter &w) const
     w.putBool(injector_ != nullptr);
     if (injector_ != nullptr)
         injector_->save(w);
-    saveReplayStats(w);
+    replay_stats_.save(w);
 }
 
 void
@@ -767,7 +761,7 @@ OmegaMachine::restoreState(SnapshotReader &r)
     }
     if (injector_ != nullptr)
         injector_->restore(r);
-    restoreReplayStats(r);
+    replay_stats_.restore(r);
 }
 
 std::string

@@ -61,42 +61,30 @@ class OmegaMachine : public MemorySystem
     explicit OmegaMachine(const MachineParams &params);
 
     void configure(const MachineConfig &config) override;
-    void compute(unsigned core, std::uint64_t ops) override;
-    void memAccess(const MemAccess &access) override;
-    void
-    memAccessBatch(std::span<const MemAccess> accesses) final
-    {
-        for (const MemAccess &a : accesses)
-            OmegaMachine::memAccess(a);
-    }
     void
     replayOps(unsigned core, std::span<const EngineOp> ops) final
     {
-        // Scripted delivery: one virtual dispatch per task. Every op
-        // still runs the full routed method (scratchpad / SVB / cache
-        // decisions are per-access), only the dispatch is devirtualized.
+        // One virtual dispatch per span, one handler per op kind. Every
+        // handler runs the full routed path: scratchpad / SVB / cache
+        // decisions are per access.
         for (const EngineOp &op : ops) {
             switch (op.kind) {
               case EngineOpKind::Compute:
-                OmegaMachine::compute(core, op.arg);
+                tiles_[core].core.compute(op.arg);
                 break;
               case EngineOpKind::Load:
               case EngineOpKind::Store:
-                OmegaMachine::memAccess(op.toMemAccess(core));
+                memAccess(op.toMemAccess(core));
                 break;
               case EngineOpKind::SrcProp:
-                OmegaMachine::readSrcProp(core, op.vertex, op.addr,
-                                          op.arg);
+                readSrcProp(core, op.vertex, op.addr, op.arg);
                 break;
               case EngineOpKind::Atomic:
-                OmegaMachine::atomicUpdate(op.toAtomicRequest(core));
+                atomicUpdate(op.toAtomicRequest(core));
                 break;
             }
         }
     }
-    void readSrcProp(unsigned core, VertexId vertex, std::uint64_t addr,
-                     std::uint32_t size) override;
-    void atomicUpdate(const AtomicRequest &request) override;
     void barrier() override;
     void endIteration() override;
     Cycles coreNow(unsigned core) const override;
@@ -148,6 +136,17 @@ class OmegaMachine : public MemorySystem
     /** @} */
 
   private:
+    /** @name Event handlers (replayOps) @{ */
+    /** Load/Store: resident vtxProp to the home scratchpad, the rest
+     *  through the caches. */
+    void memAccess(const MemAccess &access);
+    /** Source-vtxProp read (paper section V.C): local scratchpad, the
+     *  core's source-vertex buffer, or a remote scratchpad read. */
+    void readSrcProp(unsigned core, VertexId vertex, std::uint64_t addr,
+                     std::uint32_t size);
+    /** Atomic vtxProp update: offloaded to the home PISC when resident. */
+    void atomicUpdate(const AtomicRequest &request);
+    /** @} */
     void countVertexAccess(VertexId vertex);
     void buildStatTree();
     std::vector<CoreIntervalStats> coreIntervals() const;

@@ -179,7 +179,7 @@ BaselineMachine::saveState(SnapshotWriter &w) const
     w.putBool(injector_ != nullptr);
     if (injector_ != nullptr)
         injector_->save(w);
-    saveReplayStats(w);
+    replay_stats_.save(w);
 }
 
 void
@@ -212,7 +212,7 @@ BaselineMachine::restoreState(SnapshotReader &r)
     }
     if (injector_ != nullptr)
         injector_->restore(r);
-    restoreReplayStats(r);
+    replay_stats_.restore(r);
 }
 
 std::string
@@ -232,12 +232,6 @@ BaselineMachine::debugDump() const
 }
 
 void
-BaselineMachine::compute(unsigned core, std::uint64_t ops)
-{
-    tiles_[core].core.compute(ops);
-}
-
-void
 BaselineMachine::countVertexAccess(VertexId vertex)
 {
     ++vtxprop_accesses_;
@@ -246,83 +240,52 @@ BaselineMachine::countVertexAccess(VertexId vertex)
 }
 
 void
-BaselineMachine::memAccess(const MemAccess &access)
+BaselineMachine::loadStore(unsigned core, const EngineOp &op)
 {
-    CoreModel &core = tiles_[access.core].core;
-    if (access.cls == AccessClass::VertexProp)
-        countVertexAccess(access.vertex);
-    if (!access.blocking)
-        core.prepareIssue();
+    CoreModel &c = tiles_[core].core;
+    if (op.cls == AccessClass::VertexProp)
+        countVertexAccess(op.vertex);
+    const bool blocking = (op.flags & EngineOp::kBlocking) != 0;
+    // A non-blocking issue reserves its window slot first, so the DRAM
+    // queues see the post-stall issue time; the slot is then known free
+    // and issueMemoryPrepared skips the re-check.
+    if (!blocking)
+        c.prepareIssue();
     const bool prefetched =
-        access.sequential && params_.stream_prefetch;
-    const Cycles lat =
-        hierarchy_.access(access.core, access.addr,
-                          access.op == MemOp::Store, core.now(),
-                          prefetched);
-    core.issueMemory(lat, access.blocking);
+        (op.flags & EngineOp::kSequential) && params_.stream_prefetch;
+    const Cycles lat = hierarchy_.access(
+        core, op.addr, op.kind == EngineOpKind::Store, c.now(), prefetched);
+    if (blocking)
+        c.issueMemory(lat, /*blocking=*/true);
+    else
+        c.issueMemoryPrepared(lat);
 }
 
 void
 BaselineMachine::replayOps(unsigned core, std::span<const EngineOp> ops)
 {
-    // The scripted hot path: one virtual dispatch per task instead of
-    // one per event. Load/Store/SrcProp are memAccess() with the
-    // dispatch peeled off and the window re-check skipped
-    // (issueMemoryPrepared); Atomic falls through to the full method.
-    // GraspMachine inherits this loop unchanged — it only overrides
-    // configure().
-    CoreModel &c = tiles_[core].core;
+    // One virtual dispatch per span, one handler per op kind. A source
+    // read is a plain non-blocking vtxProp load here (no SVB). GraspMachine
+    // inherits this loop unchanged — it only overrides configure().
     for (const EngineOp &op : ops) {
         switch (op.kind) {
           case EngineOpKind::Compute:
-            c.compute(op.arg);
+            tiles_[core].core.compute(op.arg);
             break;
           case EngineOpKind::Load:
-          case EngineOpKind::Store: {
-            if (op.cls == AccessClass::VertexProp)
-                countVertexAccess(op.vertex);
-            const bool blocking = (op.flags & EngineOp::kBlocking) != 0;
-            if (!blocking)
-                c.prepareIssue();
-            const bool prefetched = (op.flags & EngineOp::kSequential) &&
-                                    params_.stream_prefetch;
-            const Cycles lat = hierarchy_.access(
-                core, op.addr, op.kind == EngineOpKind::Store, c.now(),
-                prefetched);
-            if (blocking)
-                c.issueMemory(lat, /*blocking=*/true);
-            else
-                c.issueMemoryPrepared(lat);
+          case EngineOpKind::Store:
+            loadStore(core, op);
             break;
-          }
-          case EngineOpKind::SrcProp: {
-            countVertexAccess(op.vertex);
-            c.prepareIssue();
-            const Cycles lat =
-                hierarchy_.access(core, op.addr, /*write=*/false, c.now());
-            c.issueMemoryPrepared(lat);
+          case EngineOpKind::SrcProp:
+            loadStore(core, EngineOp::load(op.addr, op.arg,
+                                           AccessClass::VertexProp,
+                                           /*blocking=*/false, op.vertex));
             break;
-          }
           case EngineOpKind::Atomic:
-            BaselineMachine::atomicUpdate(op.toAtomicRequest(core));
+            atomicUpdate(op.toAtomicRequest(core));
             break;
         }
     }
-}
-
-void
-BaselineMachine::readSrcProp(unsigned core, VertexId vertex,
-                             std::uint64_t addr, std::uint32_t size)
-{
-    MemAccess a;
-    a.core = core;
-    a.op = MemOp::Load;
-    a.addr = addr;
-    a.size = size;
-    a.cls = AccessClass::VertexProp;
-    a.vertex = vertex;
-    a.blocking = false;
-    memAccess(a);
 }
 
 void
@@ -350,14 +313,9 @@ BaselineMachine::atomicUpdate(const AtomicRequest &request)
     // Active-list maintenance runs on the core (paper section V.B: on the
     // baseline there is no PISC to offload it to).
     if (request.activates_dense) {
-        MemAccess a;
-        a.core = request.core;
-        a.op = MemOp::Store;
-        a.addr = config_.dense_active_base + request.vertex;
-        a.size = 1;
-        a.cls = AccessClass::ActiveList;
-        a.blocking = false;
-        memAccess(a);
+        loadStore(request.core,
+                  EngineOp::store(config_.dense_active_base + request.vertex,
+                                  1, AccessClass::ActiveList));
     }
     if (request.activates_sparse) {
         // fetch_add on the shared tail counter, then the append store.
@@ -371,16 +329,12 @@ BaselineMachine::atomicUpdate(const AtomicRequest &request)
             core.issueMemory(clat, false, StallKind::Atomic);
             core.serialize(params_.atomic_serialize, StallKind::Atomic);
         }
-        MemAccess a;
-        a.core = request.core;
-        a.op = MemOp::Store;
-        a.addr = config_.sparse_active_base +
-                 4 * (tile.sparse_appends++ * params_.num_cores +
-                      request.core);
-        a.size = 4;
-        a.cls = AccessClass::ActiveList;
-        a.blocking = false;
-        memAccess(a);
+        loadStore(request.core,
+                  EngineOp::store(config_.sparse_active_base +
+                                      4 * (tile.sparse_appends++ *
+                                               params_.num_cores +
+                                           request.core),
+                                  4, AccessClass::ActiveList));
     }
 }
 

@@ -29,18 +29,7 @@ class BaselineMachine : public MemorySystem
     explicit BaselineMachine(const MachineParams &params);
 
     void configure(const MachineConfig &config) override;
-    void compute(unsigned core, std::uint64_t ops) override;
-    void memAccess(const MemAccess &access) override;
-    void
-    memAccessBatch(std::span<const MemAccess> accesses) final
-    {
-        for (const MemAccess &a : accesses)
-            BaselineMachine::memAccess(a);
-    }
     void replayOps(unsigned core, std::span<const EngineOp> ops) final;
-    void readSrcProp(unsigned core, VertexId vertex, std::uint64_t addr,
-                     std::uint32_t size) override;
-    void atomicUpdate(const AtomicRequest &request) override;
     void barrier() override;
     void endIteration() override;
     Cycles coreNow(unsigned core) const override;
@@ -95,6 +84,17 @@ class BaselineMachine : public MemorySystem
     StatGroup stats_root_;
 
   private:
+    /**
+     * The one Load/Store handler: every core-issued cache access —
+     * loads, stores, source-prop reads and active-list stores — issues
+     * through here. Forced inline: the compiler otherwise keeps one
+     * out-of-line copy, adding a call per load/store to the replayOps
+     * loop (defined and only used in the .cc).
+     */
+    [[gnu::always_inline]] inline void loadStore(unsigned core,
+                                                 const EngineOp &op);
+    /** Atomic handler: locked RMW on the core plus active-list upkeep. */
+    void atomicUpdate(const AtomicRequest &request);
     void countVertexAccess(VertexId vertex);
     void buildStatTree();
     std::vector<CoreIntervalStats> coreIntervals() const;

@@ -1,13 +1,16 @@
 /**
  * @file
- * Compact engine->machine event records for batched (scripted) delivery.
+ * Compact engine->machine event records: the one event path into a
+ * machine, for scripted spans and live single events alike.
  *
- * The engine's task loops used to push every event through a separate
- * virtual call (memAccess / readSrcProp / atomicUpdate / compute): three
- * to five dispatches per edge, ~400M per fig14 run. An EngineOp is the
- * same event flattened into a 24-byte POD; a task's worth of them is
- * handed to the machine in one MemorySystem::replayOps() call, which
- * concrete machines override with a tight, devirtualized loop.
+ * An EngineOp is one engine event — compute, load/store, source-prop
+ * read or atomic vtxProp update — flattened into a 24-byte POD, and a
+ * span of them is the only way events reach a machine:
+ * MemorySystem::replayOps(). Scripted and buffered phases hand a whole
+ * task over in one call (one virtual dispatch per task instead of three
+ * to five per edge); the engine's live emits (Engine::emitLoad and
+ * friends) hand over one-op spans. Each machine therefore implements a
+ * single devirtualized switch with one handler per op kind.
  *
  * EngineOps are also the unit of the deterministic intra-run parallelism
  * (DESIGN.md "Epoch-scripted parallelism"): for structurally pure phases
@@ -25,6 +28,7 @@
 
 #include "graph/types.hh"
 #include "sim/access.hh"
+#include "sim/snapshot.hh"
 
 namespace omega {
 
@@ -134,7 +138,8 @@ struct EngineOp
         return op;
     }
 
-    /** Expand back to the legacy MemAccess form (default replay path). */
+    /** Expand a Load/Store op into the MemAccess form machines route
+     *  internally. */
     MemAccess
     toMemAccess(unsigned core) const
     {
@@ -143,15 +148,15 @@ struct EngineOp
         a.op = kind == EngineOpKind::Store ? MemOp::Store : MemOp::Load;
         a.addr = addr;
         a.size = arg;
-        a.cls = kind == EngineOpKind::SrcProp ? AccessClass::VertexProp
-                                              : cls;
+        a.cls = cls;
         a.blocking = (flags & kBlocking) != 0;
         a.sequential = (flags & kSequential) != 0;
         a.vertex = vertex;
         return a;
     }
 
-    /** Expand back to the legacy AtomicRequest form. */
+    /** Expand an Atomic op into the AtomicRequest form machines route
+     *  internally. */
     AtomicRequest
     toAtomicRequest(unsigned core) const
     {
@@ -207,6 +212,32 @@ struct ScriptReplayStats
             max_queue_depth = o.max_queue_depth;
         concurrent_hook_items += o.concurrent_hook_items;
         blocking_waits += o.blocking_waits;
+    }
+
+    /**
+     * Snapshot every field except blocking_waits, which is
+     * wall-clock-dependent: a resumed run re-accumulates its own waits,
+     * keeping byte-compared output deterministic either way.
+     */
+    void
+    save(SnapshotWriter &w) const
+    {
+        w.putU64(epochs);
+        w.putU64(merged_items);
+        w.putU64(merged_ops);
+        w.putU64(max_queue_depth);
+        w.putU64(concurrent_hook_items);
+    }
+    /** Inverse of save(); resets blocking_waits. */
+    void
+    restore(SnapshotReader &r)
+    {
+        epochs = r.getU64();
+        merged_items = r.getU64();
+        merged_ops = r.getU64();
+        max_queue_depth = r.getU64();
+        concurrent_hook_items = r.getU64();
+        blocking_waits = 0;
     }
 };
 

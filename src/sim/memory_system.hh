@@ -74,10 +74,13 @@ struct MachineConfig
 };
 
 /**
- * Abstract machine. All methods are single-threaded: every event enters
- * through the calling (merge) thread, even when the engine runs with
- * sim_threads > 1 — workers only generate scripts and run functional
- * hooks, never machine methods (DESIGN.md "Epoch-scripted parallelism").
+ * Abstract machine. Engine events have one way in, replayOps(); the
+ * remaining virtuals are synchronization (barrier, endIteration), clock
+ * queries and observability. All methods are single-threaded: every
+ * event enters through the calling (merge) thread, even when the engine
+ * runs with sim_threads > 1 — workers only generate scripts and run
+ * functional hooks, never machine methods (DESIGN.md "Epoch-scripted
+ * parallelism").
  */
 class MemorySystem
 {
@@ -87,67 +90,16 @@ class MemorySystem
     /** Install the run configuration (monitor registers + microcode). */
     virtual void configure(const MachineConfig &config) = 0;
 
-    /** Retire @p ops instruction-equivalents on @p core. */
-    virtual void compute(unsigned core, std::uint64_t ops) = 0;
-
-    /** Issue a load or store. */
-    virtual void memAccess(const MemAccess &access) = 0;
-
     /**
-     * Issue a run of accesses that the caller guarantees are consecutive
-     * in simulated order with no intervening machine events — e.g. one
-     * vertexMap task's property reads. Timing-identical to calling
-     * memAccess() per element; implementations override it only to pay
-     * the virtual dispatch once per run instead of once per access.
+     * Deliver a run of engine events for @p core — the machine's only
+     * event entry point (engine_ops.hh). Compute, load/store, source-prop
+     * reads and atomic vtxProp updates all arrive here, from scripted
+     * task spans and live one-op emits alike, so a machine writes exactly
+     * one handler per EngineOpKind. The run must be consecutive in
+     * simulated order with no intervening machine events; machines must
+     * give the same result for any split of a stream into runs.
      */
-    virtual void
-    memAccessBatch(std::span<const MemAccess> accesses)
-    {
-        for (const MemAccess &a : accesses)
-            memAccess(a);
-    }
-
-    /**
-     * Replay a run of flattened engine ops for one core — the scripted
-     * delivery path (engine_ops.hh): the engine hands a whole task's
-     * events over in one call instead of one virtual dispatch per event.
-     * The run must be consecutive in simulated order with no intervening
-     * machine events, exactly like memAccessBatch(). The default expands
-     * each op into the corresponding virtual call, so wrappers and test
-     * doubles observe the legacy per-event stream unchanged; concrete
-     * machines override it with a devirtualized loop.
-     */
-    virtual void
-    replayOps(unsigned core, std::span<const EngineOp> ops)
-    {
-        for (const EngineOp &op : ops) {
-            switch (op.kind) {
-              case EngineOpKind::Compute:
-                compute(core, op.arg);
-                break;
-              case EngineOpKind::Load:
-              case EngineOpKind::Store:
-                memAccess(op.toMemAccess(core));
-                break;
-              case EngineOpKind::SrcProp:
-                readSrcProp(core, op.vertex, op.addr, op.arg);
-                break;
-              case EngineOpKind::Atomic:
-                atomicUpdate(op.toAtomicRequest(core));
-                break;
-            }
-        }
-    }
-
-    /**
-     * Read a source vertex's vtxProp (paper section V.C). OMEGA consults
-     * the core's source-vertex buffer; the baseline treats it as a load.
-     */
-    virtual void readSrcProp(unsigned core, VertexId vertex,
-                             std::uint64_t addr, std::uint32_t size) = 0;
-
-    /** Execute/offload an atomic vtxProp update. */
-    virtual void atomicUpdate(const AtomicRequest &request) = 0;
+    virtual void replayOps(unsigned core, std::span<const EngineOp> ops) = 0;
 
     /** Join all cores (end of a parallel-for). */
     virtual void barrier() = 0;
@@ -284,34 +236,6 @@ class MemorySystem
     /** @} */
 
   protected:
-    /**
-     * @name Replay-stats snapshot helpers (for saveState overrides).
-     * blocking_waits is wall-clock-dependent (see ScriptReplayStats), so
-     * it is neither saved nor restored — a resumed run re-accumulates its
-     * own waits, keeping byte-compared output deterministic either way.
-     * @{
-     */
-    void
-    saveReplayStats(SnapshotWriter &w) const
-    {
-        w.putU64(replay_stats_.epochs);
-        w.putU64(replay_stats_.merged_items);
-        w.putU64(replay_stats_.merged_ops);
-        w.putU64(replay_stats_.max_queue_depth);
-        w.putU64(replay_stats_.concurrent_hook_items);
-    }
-    void
-    restoreReplayStats(SnapshotReader &r)
-    {
-        replay_stats_.epochs = r.getU64();
-        replay_stats_.merged_items = r.getU64();
-        replay_stats_.merged_ops = r.getU64();
-        replay_stats_.max_queue_depth = r.getU64();
-        replay_stats_.concurrent_hook_items = r.getU64();
-        replay_stats_.blocking_waits = 0;
-    }
-    /** @} */
-
     IntervalRecorder *recorder_ = nullptr;
     /** Scripted-replay totals (deliberately NOT in the stat tree, whose
      *  entry list is frozen by the pinned golden digests; the bench

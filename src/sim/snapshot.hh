@@ -269,7 +269,7 @@ class SnapshotReader
     std::vector<std::uint64_t>
     getU64Vector()
     {
-        const std::uint64_t n = getU64();
+        const std::uint64_t n = getCount(sizeof(std::uint64_t));
         std::vector<std::uint64_t> v;
         v.reserve(n);
         for (std::uint64_t i = 0; i < n; ++i)
@@ -280,7 +280,7 @@ class SnapshotReader
     std::vector<std::uint32_t>
     getU32Vector()
     {
-        const std::uint64_t n = getU64();
+        const std::uint64_t n = getCount(sizeof(std::uint32_t));
         std::vector<std::uint32_t> v;
         v.reserve(n);
         for (std::uint64_t i = 0; i < n; ++i)
@@ -292,6 +292,25 @@ class SnapshotReader
     std::size_t remaining() const { return buf_.size() - pos_; }
 
   private:
+    /**
+     * Read an element count and reject it, before anything is allocated,
+     * when the rest of the payload cannot hold that many @p elem_bytes
+     * elements (a corrupt count must not become a huge reserve()).
+     */
+    std::uint64_t
+    getCount(std::size_t elem_bytes)
+    {
+        const std::uint64_t n = getU64();
+        if (n > remaining() / elem_bytes) {
+            throw SnapshotTruncatedError(
+                "snapshot: vector of " + std::to_string(n) + " x " +
+                std::to_string(elem_bytes) + "-byte elements at offset " +
+                std::to_string(pos_) + " exceeds the " +
+                std::to_string(remaining()) + " bytes left");
+        }
+        return n;
+    }
+
     void
     need(std::uint64_t n)
     {

@@ -289,13 +289,7 @@ class ConfigCaptureMachine final : public MemorySystem
         config_ = config;
         configured_ = true;
     }
-    void compute(unsigned, std::uint64_t) override {}
-    void memAccess(const MemAccess &) override {}
-    void readSrcProp(unsigned, VertexId, std::uint64_t,
-                     std::uint32_t) override
-    {
-    }
-    void atomicUpdate(const AtomicRequest &) override {}
+    void replayOps(unsigned, std::span<const EngineOp>) override {}
     void barrier() override {}
     void endIteration() override {}
     Cycles coreNow(unsigned) const override { return 0; }

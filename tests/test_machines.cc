@@ -5,8 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "omega/omega_machine.hh"
 #include "sim/baseline_machine.hh"
+#include "sim/machine_registry.hh"
+#include "util/json.hh"
+#include "util/stats.hh"
 
 namespace omega {
 namespace {
@@ -32,29 +40,32 @@ config(VertexId n = 1024, std::uint32_t entry = 8)
     return c;
 }
 
-MemAccess
-propLoad(unsigned core, VertexId v, std::uint32_t entry = 8)
+/** Deliver one engine event, as the engine's live emits do. */
+void
+issue(MemorySystem &m, unsigned core, const EngineOp &op)
 {
-    MemAccess a;
-    a.core = core;
-    a.op = MemOp::Load;
-    a.addr = kProp + std::uint64_t(v) * entry;
-    a.size = entry;
-    a.cls = AccessClass::VertexProp;
-    a.vertex = v;
-    return a;
+    m.replayOps(core, {&op, 1});
 }
 
-AtomicRequest
-atomicOn(unsigned core, VertexId v, std::uint32_t entry = 8)
+EngineOp
+propLoad(VertexId v, std::uint32_t entry = 8)
 {
-    AtomicRequest r;
-    r.core = core;
-    r.vertex = v;
-    r.addr = kProp + std::uint64_t(v) * entry;
-    r.size = entry;
-    r.operand_bytes = 8;
-    return r;
+    return EngineOp::load(kProp + std::uint64_t(v) * entry, entry,
+                          AccessClass::VertexProp, /*blocking=*/false, v);
+}
+
+EngineOp
+atomicOn(VertexId v, std::uint32_t entry = 8, bool activates_sparse = false)
+{
+    return EngineOp::atomic(v, kProp + std::uint64_t(v) * entry, entry,
+                            /*operand_bytes=*/8, /*activates_dense=*/false,
+                            activates_sparse);
+}
+
+EngineOp
+srcRead(VertexId v)
+{
+    return EngineOp::srcProp(v, kProp + v * 8ull, 8);
 }
 
 // --- Baseline ---------------------------------------------------------
@@ -63,8 +74,8 @@ TEST(BaselineMachine, CountsHotVertexAccesses)
 {
     BaselineMachine m(MachineParams::baseline());
     m.configure(config(1000)); // hot boundary = 200
-    m.memAccess(propLoad(0, 10));
-    m.memAccess(propLoad(0, 500));
+    issue(m, 0, propLoad(10));
+    issue(m, 0, propLoad(500));
     m.barrier();
     const StatsReport r = m.report();
     EXPECT_EQ(r.vtxprop_accesses, 2u);
@@ -76,7 +87,7 @@ TEST(BaselineMachine, AtomicSerializesAndCounts)
     MachineParams p = MachineParams::baseline();
     BaselineMachine m(p);
     m.configure(config());
-    m.atomicUpdate(atomicOn(0, 5));
+    issue(m, 0, atomicOn(5));
     m.barrier();
     const StatsReport r = m.report();
     EXPECT_EQ(r.atomics_total, 1u);
@@ -94,8 +105,8 @@ TEST(BaselineMachine, PlainAtomicAblationIsCheaper)
     BaselineMachine plain(p);
     plain.configure(config());
     for (int i = 0; i < 200; ++i) {
-        normal.atomicUpdate(atomicOn(0, i % 64));
-        plain.atomicUpdate(atomicOn(0, i % 64));
+        issue(normal, 0, atomicOn(i % 64));
+        issue(plain, 0, atomicOn(i % 64));
     }
     normal.barrier();
     plain.barrier();
@@ -106,7 +117,7 @@ TEST(BaselineMachine, BarrierSyncsAllCores)
 {
     BaselineMachine m(MachineParams::baseline());
     m.configure(config());
-    m.compute(0, 800); // core 0 races ahead
+    issue(m, 0, EngineOp::compute(800)); // core 0 races ahead
     m.barrier();
     for (unsigned c = 0; c < m.params().num_cores; ++c)
         EXPECT_EQ(m.coreNow(c), m.cycles());
@@ -117,9 +128,7 @@ TEST(BaselineMachine, SparseActivationTouchesCounter)
 {
     BaselineMachine m(MachineParams::baseline());
     m.configure(config());
-    auto r1 = atomicOn(0, 3);
-    r1.activates_sparse = true;
-    m.atomicUpdate(r1);
+    issue(m, 0, atomicOn(3, 8, /*activates_sparse=*/true));
     m.barrier();
     const StatsReport r = m.report();
     // dst line + counter + append store.
@@ -181,7 +190,7 @@ TEST(OmegaMachine, ResidentAccessUsesScratchpad)
 {
     OmegaMachine m(omegaParams());
     m.configure(config(1000));
-    m.memAccess(propLoad(0, 5));
+    issue(m, 0, propLoad(5));
     m.barrier();
     const StatsReport r = m.report();
     EXPECT_EQ(r.sp_accesses, 1u);
@@ -193,7 +202,7 @@ TEST(OmegaMachine, NonResidentAccessUsesCache)
     OmegaMachine m(omegaParams());
     m.configure(config(100000));
     const VertexId cold = 50000;
-    m.memAccess(propLoad(0, cold));
+    issue(m, 0, propLoad(cold));
     m.barrier();
     const StatsReport r = m.report();
     EXPECT_EQ(r.sp_accesses, 0u);
@@ -207,8 +216,8 @@ TEST(OmegaMachine, LocalVsRemoteScratchpad)
     m.configure(config(1000));
     // Vertex 0 homes on scratchpad 0 (chunk 64): local for core 0,
     // remote for core 1.
-    m.memAccess(propLoad(0, 0));
-    m.memAccess(propLoad(1, 0));
+    issue(m, 0, propLoad(0));
+    issue(m, 1, propLoad(0));
     m.barrier();
     const StatsReport r = m.report();
     EXPECT_EQ(r.sp_local, 1u);
@@ -222,7 +231,7 @@ TEST(OmegaMachine, AtomicsAreOffloadedToPisc)
     OmegaMachine m(omegaParams());
     m.configure(config(1000));
     for (int i = 0; i < 10; ++i)
-        m.atomicUpdate(atomicOn(0, 5));
+        issue(m, 0, atomicOn(5));
     m.barrier();
     const StatsReport r = m.report();
     EXPECT_EQ(r.atomics_total, 10u);
@@ -238,7 +247,7 @@ TEST(OmegaMachine, ColdAtomicFallsBackToCore)
 {
     OmegaMachine m(omegaParams());
     m.configure(config(100000));
-    m.atomicUpdate(atomicOn(0, 90000));
+    issue(m, 0, atomicOn(90000));
     m.barrier();
     const StatsReport r = m.report();
     EXPECT_EQ(r.atomics_offloaded, 0u);
@@ -252,7 +261,7 @@ TEST(OmegaMachine, BarrierWaitsForPiscs)
     // Queue many atomics on one home PISC; the barrier must cover their
     // completion even though the core fired and forgot.
     for (int i = 0; i < 100; ++i)
-        m.atomicUpdate(atomicOn(0, 5));
+        issue(m, 0, atomicOn(5));
     m.barrier();
     EXPECT_GE(m.cycles(), 100u * 4u);
 }
@@ -264,7 +273,7 @@ TEST(OmegaMachine, SvbCachesRemoteSourceReads)
     const VertexId v = 200; // homes on scratchpad 3 (chunk 64)
     // Core 0 reads it repeatedly, as SSSP does per out-edge.
     for (int i = 0; i < 20; ++i)
-        m.readSrcProp(0, v, kProp + v * 8ull, 8);
+        issue(m, 0, srcRead(v));
     m.barrier();
     const StatsReport r = m.report();
     EXPECT_EQ(r.svb_misses, 1u);
@@ -277,10 +286,10 @@ TEST(OmegaMachine, SvbInvalidatedAtIterationEnd)
     OmegaMachine m(omegaParams());
     m.configure(config(1000));
     const VertexId v = 200;
-    m.readSrcProp(0, v, kProp + v * 8ull, 8);
-    m.readSrcProp(0, v, kProp + v * 8ull, 8);
+    issue(m, 0, srcRead(v));
+    issue(m, 0, srcRead(v));
     m.endIteration();
-    m.readSrcProp(0, v, kProp + v * 8ull, 8);
+    issue(m, 0, srcRead(v));
     m.barrier();
     const StatsReport r = m.report();
     EXPECT_EQ(r.svb_misses, 2u);
@@ -292,7 +301,7 @@ TEST(OmegaMachine, LocalSourceReadsBypassSvb)
     OmegaMachine m(omegaParams());
     m.configure(config(1000));
     // Vertex 5 homes on scratchpad 0: local to core 0.
-    m.readSrcProp(0, 5, kProp + 5 * 8ull, 8);
+    issue(m, 0, srcRead(5));
     m.barrier();
     const StatsReport r = m.report();
     EXPECT_EQ(r.svb_misses, 0u);
@@ -305,7 +314,7 @@ TEST(OmegaMachine, SpOnlyModeExecutesAtomicsOnCore)
     p.pisc_enabled = false; // section X.A ablation
     OmegaMachine m(p);
     m.configure(config(1000));
-    m.atomicUpdate(atomicOn(0, 5));
+    issue(m, 0, atomicOn(5));
     m.barrier();
     const StatsReport r = m.report();
     EXPECT_EQ(r.atomics_offloaded, 0u);
@@ -321,8 +330,8 @@ TEST(OmegaMachine, SameVertexAtomicConflictsCounted)
     m.configure(config(1000));
     // Back-to-back atomics on one vertex arrive while the first is
     // still executing on the home PISC.
-    m.atomicUpdate(atomicOn(0, 7));
-    m.atomicUpdate(atomicOn(0, 7));
+    issue(m, 0, atomicOn(7));
+    issue(m, 0, atomicOn(7));
     m.barrier();
     const StatsReport r = m.report();
     EXPECT_GE(r.pisc_blocked_conflicts, 1u);
@@ -340,12 +349,126 @@ TEST(OmegaMachine, OnChipTrafficSmallerThanBaselinePerAtomic)
     om.configure(config(1000));
     // Scatter atomics over many vertices from many cores.
     for (unsigned i = 0; i < 1000; ++i) {
-        base.atomicUpdate(atomicOn(i % 16, (i * 37) % 1000));
-        om.atomicUpdate(atomicOn(i % 16, (i * 37) % 1000));
+        issue(base, i % 16, atomicOn((i * 37) % 1000));
+        issue(om, i % 16, atomicOn((i * 37) % 1000));
     }
     base.barrier();
     om.barrier();
     EXPECT_LT(om.report().onchip_bytes, base.report().onchip_bytes / 2);
+}
+
+// --- Every registered machine --------------------------------------
+
+/** One core's task: a span of ops that mixes every event kind. */
+struct OpTask
+{
+    unsigned core;
+    std::vector<EngineOp> ops;
+};
+
+std::vector<OpTask>
+mixedTasks()
+{
+    // Hot vertices (< 1000) are scratchpad-resident on OMEGA at the
+    // 1/256 capacity scale and read through the SVB from remote cores;
+    // cold ones (>= 50000) take the cache path everywhere.
+    std::vector<OpTask> tasks;
+    for (unsigned t = 0; t < 256; ++t) {
+        OpTask task{t % 16, {}};
+        const VertexId hot = (t * 37) % 1000;
+        const VertexId cold = 50000 + (t * 101) % 40000;
+        auto prop = [](VertexId v) { return kProp + v * 8ull; };
+        task.ops = {
+            EngineOp::compute(8),
+            EngineOp::load(addr_space::kEdgeBase + t * 64ull, 16,
+                           AccessClass::EdgeList, /*blocking=*/false, 0,
+                           /*sequential=*/true),
+            EngineOp::load(prop(hot), 8, AccessClass::VertexProp,
+                           /*blocking=*/true, hot),
+            EngineOp::srcProp(hot, prop(hot), 8),
+            EngineOp::srcProp(cold, prop(cold), 8),
+            EngineOp::store(prop(cold), 8, AccessClass::VertexProp, cold),
+            EngineOp::atomic(hot, prop(hot), 8, 8, /*dense=*/true,
+                             /*sparse=*/false),
+            EngineOp::atomic(cold, prop(cold), 8, 8, /*dense=*/false,
+                             /*sparse=*/true),
+            EngineOp::atomic(hot, prop(hot), 8, 8, /*dense=*/false,
+                             /*sparse=*/true),
+            EngineOp::srcProp(hot, prop(hot), 8),
+            EngineOp::compute(4),
+        };
+        tasks.push_back(std::move(task));
+    }
+    return tasks;
+}
+
+/** What one delivery of the task list produced. */
+struct ChunkedRun
+{
+    StatsReport report;
+    /** report() and the stat tree, as JSON. */
+    std::string json;
+};
+
+/**
+ * Run the task list through a fresh machine, each task as one span or
+ * one op per call.
+ */
+ChunkedRun
+runTasks(const MachineRegistryEntry &entry, const std::vector<OpTask> &tasks,
+         bool one_op_per_call)
+{
+    std::unique_ptr<MemorySystem> m =
+        entry.make(entry.make_params().scaledCapacities(1.0 / 256));
+    m->configure(config(100000));
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+        const OpTask &task = tasks[i];
+        if (one_op_per_call) {
+            for (const EngineOp &op : task.ops)
+                issue(*m, task.core, op);
+        } else {
+            m->replayOps(task.core, task.ops);
+        }
+        if (i % 64 == 63)
+            m->barrier();
+        if (i == tasks.size() / 2)
+            m->endIteration();
+    }
+    m->barrier();
+    m->endIteration();
+
+    ChunkedRun run{m->report(), {}};
+    std::ostringstream os;
+    JsonWriter w(os, /*pretty=*/false);
+    w.beginObject();
+    w.key("report");
+    run.report.writeJson(w);
+    w.key("stat_tree");
+    m->statTree()->writeJson(w);
+    w.endObject();
+    run.json = os.str();
+    return run;
+}
+
+TEST(MachineRegistry, OpChunkingDoesNotChangeResults)
+{
+    // replayOps is the only event path: the engine hands whole task
+    // spans to it from scripted phases and one-op spans from its live
+    // emits, and its flush points rely on the split never mattering.
+    const std::vector<OpTask> tasks = mixedTasks();
+    for (const MachineRegistryEntry &entry : machineRegistry()) {
+        const ChunkedRun spans = runTasks(entry, tasks, false);
+        const ChunkedRun single = runTasks(entry, tasks, true);
+        EXPECT_EQ(spans.json, single.json) << entry.name;
+        // The stream really reaches every handler.
+        EXPECT_EQ(spans.report.atomics_total, 3u * tasks.size())
+            << entry.name;
+        EXPECT_GT(spans.report.vtxprop_hot_accesses, 0u) << entry.name;
+        if (std::string(entry.name).starts_with("omega")) {
+            EXPECT_GT(spans.report.sp_accesses, 0u) << entry.name;
+            EXPECT_GT(spans.report.svb_hits, 0u) << entry.name;
+        }
+    }
 }
 
 } // namespace

@@ -13,6 +13,13 @@
 namespace omega {
 namespace {
 
+/** Deliver one engine event, as the engine's live emits do. */
+void
+issue(MemorySystem &m, unsigned core, const EngineOp &op)
+{
+    m.replayOps(core, {&op, 1});
+}
+
 TEST(Prefetch, UnloadedStreamMissHidesBaseLatency)
 {
     Dram d(MachineParams::baseline());
@@ -60,14 +67,10 @@ TEST(Prefetch, MachineRespectsStreamPrefetchSwitch)
         m.configure(cfg);
         // Stream 4 MB of fresh lines through one core.
         for (std::uint64_t i = 0; i < 65536; ++i) {
-            MemAccess a;
-            a.core = 0;
-            a.op = MemOp::Load;
-            a.addr = 0x10000000 + i * 64;
-            a.size = 64;
-            a.cls = AccessClass::EdgeList;
-            a.sequential = true;
-            m.memAccess(a);
+            issue(m, 0,
+                  EngineOp::load(0x10000000 + i * 64, 64,
+                                 AccessClass::EdgeList, /*blocking=*/false,
+                                 0, /*sequential=*/true));
         }
         m.barrier();
         return m.cycles();
@@ -93,14 +96,9 @@ TEST(Prefetch, BandwidthFeedbackBoundsTheQueue)
     cfg.num_vertices = 1;
     m.configure(cfg);
     for (std::uint64_t i = 0; i < 16 * 8192; ++i) {
-        MemAccess a;
-        a.core = static_cast<unsigned>(i % 16);
-        a.op = MemOp::Load;
-        a.addr = 0x10000000 + i * 64;
-        a.size = 64;
-        a.cls = AccessClass::EdgeList;
-        a.sequential = true;
-        m.memAccess(a);
+        issue(m, static_cast<unsigned>(i % 16),
+              EngineOp::load(0x10000000 + i * 64, 64, AccessClass::EdgeList,
+                             /*blocking=*/false, 0, /*sequential=*/true));
     }
     m.barrier();
     const StatsReport r = m.report();
@@ -123,14 +121,7 @@ TEST(Prefetch, RandomAccessesNotAffectedBySwitch)
         m.configure(cfg);
         std::uint64_t addr = 0x10000000;
         for (int i = 0; i < 5000; ++i) {
-            MemAccess a;
-            a.core = 0;
-            a.op = MemOp::Load;
-            a.addr = addr;
-            a.size = 8;
-            a.cls = AccessClass::VertexProp;
-            a.sequential = false;
-            m.memAccess(a);
+            issue(m, 0, EngineOp::load(addr, 8, AccessClass::VertexProp));
             addr += 64 * 1021; // pseudo-random stride
         }
         m.barrier();

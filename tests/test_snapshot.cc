@@ -99,6 +99,31 @@ TEST(SnapshotFormat, ReaderBoundsChecked)
     EXPECT_THROW(r.getU64(), SnapshotTruncatedError);
 }
 
+TEST(SnapshotFormat, HugeVectorCountIsTruncatedNotAllocated)
+{
+    // A corrupt element count must be rejected against the bytes left
+    // before the reader allocates: 2^40 elements would be bad_alloc and
+    // 2^62 a length_error if reserved first.
+    for (const std::uint64_t n : {std::uint64_t{1} << 40,
+                                  std::uint64_t{1} << 62}) {
+        SnapshotWriter w;
+        w.putU64(n);
+        w.putU64(7);
+        SnapshotReader r64(w.bytes());
+        EXPECT_THROW(r64.getU64Vector(), SnapshotTruncatedError) << n;
+        SnapshotReader r32(w.bytes());
+        EXPECT_THROW(r32.getU32Vector(), SnapshotTruncatedError) << n;
+    }
+    // The bound is exact: a count the payload can hold still reads.
+    SnapshotWriter w;
+    w.putU64(2);
+    w.putU64(7);
+    SnapshotReader r32(w.bytes());
+    EXPECT_EQ(r32.getU32Vector(), (std::vector<std::uint32_t>{7, 0}));
+    SnapshotReader r64(w.bytes());
+    EXPECT_THROW(r64.getU64Vector(), SnapshotTruncatedError);
+}
+
 TEST(SnapshotFormat, FixedSizeFieldRejectsWrongSize)
 {
     SnapshotWriter w;

@@ -103,7 +103,6 @@ usageError(const std::string &bench, const std::string &msg)
     std::fprintf(stderr,
                  "usage: %s [--json <path>] [--trace <path>]"
                  " [--interval <cycles>] [--jobs <n>]"
-                 " [--sim-threads <n>]"
                  " [--faults <key=value,...>] [--profile <path>]"
                  " [--checkpoint <path>] [--checkpoint-every <n>]"
                  " [--resume <path>]"
@@ -216,7 +215,6 @@ encodeJournaledRun(SnapshotWriter &w, const std::string &key,
     w.putString(key);
     w.putU64(run.outcome.cycles);
     run.outcome.stats.save(w);
-    run.outcome.replay.save(w);
     w.putString(run.stat_tree_json);
     w.putString(run.fault_json);
     run.intervals.save(w);
@@ -231,7 +229,6 @@ decodeJournaledRun(SnapshotReader &r, const MachineParams &params,
     run.outcome.params = params;
     run.outcome.cycles = r.getU64();
     run.outcome.stats.restore(r);
-    run.outcome.replay.restore(r);
     run.stat_tree_json = r.getString();
     run.fault_json = r.getString();
     run.intervals = IntervalRecorder(interval_cycles);
@@ -260,7 +257,7 @@ executeRun(const DatasetSpec &spec, AlgorithmKind algo, MachineKind kind,
            const std::function<void(MachineParams &)> &tweak, bool want_json,
            bool want_trace, Cycles interval_cycles,
            const FaultPlan *faults, bool want_profile,
-           unsigned sim_threads, const std::string &key = {},
+           const std::string &key = {},
            CheckpointCoordinator *coord = nullptr)
 {
     const Graph &g = datasetGraph(spec);
@@ -300,7 +297,6 @@ executeRun(const DatasetSpec &spec, AlgorithmKind algo, MachineKind kind,
     }
 
     EngineOptions opts;
-    opts.sim_threads = sim_threads;
     opts.checkpoint = coord;
     try {
         run.outcome.cycles = runAlgorithmOnMachine(algo, g, m.get(), opts);
@@ -355,25 +351,6 @@ executeRun(const DatasetSpec &spec, AlgorithmKind algo, MachineKind kind,
         }
     }
     run.outcome.stats = m->report();
-    run.outcome.replay = m->replayStats();
-    if (std::getenv("OMEGA_PARALLEL_STATS") != nullptr) {
-        // Diagnostic only (stderr): includes blocking_waits, which is
-        // wall-clock-dependent and therefore banned from every
-        // byte-compared document.
-        const ScriptReplayStats &rs = run.outcome.replay;
-        std::fprintf(stderr,
-                     "[sim-parallel] %s/%s: epochs=%llu items=%llu "
-                     "ops=%llu max_depth=%llu hook_items=%llu "
-                     "blocking_waits=%llu\n",
-                     spec.name.c_str(), machineKindName(kind).c_str(),
-                     static_cast<unsigned long long>(rs.epochs),
-                     static_cast<unsigned long long>(rs.merged_items),
-                     static_cast<unsigned long long>(rs.merged_ops),
-                     static_cast<unsigned long long>(rs.max_queue_depth),
-                     static_cast<unsigned long long>(
-                         rs.concurrent_hook_items),
-                     static_cast<unsigned long long>(rs.blocking_waits));
-    }
     if (want_json) {
         if (const StatGroup *tree = m->statTree()) {
             std::ostringstream os;
@@ -481,9 +458,7 @@ runOn(const DatasetSpec &spec, AlgorithmKind algo, MachineKind kind,
                          observe ? session->intervalCycles() : 0,
                          session != nullptr ? session->faultPlan()
                                             : nullptr,
-                         want_profile,
-                         session != nullptr ? session->simThreads() : 1,
-                         key, coord);
+                         want_profile, key, coord);
     } catch (const WatchdogError &e) {
         if (session != nullptr)
             session->abortSession(e.what()); // flushes partial JSON, exits
@@ -576,29 +551,6 @@ BenchSession::BenchSession(std::string bench_name, int argc, char **argv)
                                             ">= 1");
             }
             jobs_ = static_cast<unsigned>(jobs);
-        } else if (arg == "--sim-threads") {
-            const std::string &tok = operand("--sim-threads");
-            std::uint64_t threads = 0;
-            if (!parseCount(tok, threads) || threads < 1 ||
-                threads > std::numeric_limits<unsigned>::max()) {
-                usageError(bench_name_, "--sim-threads operand '" + tok +
-                                            "' is not a thread count "
-                                            ">= 1");
-            }
-            // Warning-clamp (not an error): results are bit-identical
-            // for every value, so an oversubscribed count could only
-            // time-slice workers for pure overhead. --jobs is NOT
-            // clamped — whole-run workers block on I/O and can
-            // reasonably oversubscribe.
-            const unsigned hw = ThreadPool::hardwareJobs();
-            if (threads > hw) {
-                warn("--sim-threads ", threads,
-                     " exceeds hardware concurrency (", hw,
-                     "); clamping");
-                threads = hw;
-            }
-            sim_threads_ = static_cast<unsigned>(threads);
-            sim_threads_given_ = true;
         } else if (arg == "--faults") {
             const std::string &tok = operand("--faults");
             std::string error;
@@ -917,21 +869,6 @@ BenchSession::writeJsonDoc() const
         rec.outcome.stats.writeJson(w);
         w.key("derived");
         writeDerivedJson(w, rec.outcome);
-        if (sim_threads_given_) {
-            // Conditional field (like "faults"): only sessions given an
-            // explicit --sim-threads emit it, so the default layout the
-            // golden digests pin is untouched. blocking_waits is
-            // deliberately absent — it is wall-clock-dependent, and this
-            // object must stay byte-identical across thread counts.
-            const ScriptReplayStats &rs = rec.outcome.replay;
-            w.key("sim_parallel").beginObject();
-            w.field("epochs", rs.epochs);
-            w.field("merged_items", rs.merged_items);
-            w.field("merged_ops", rs.merged_ops);
-            w.field("max_queue_depth", rs.max_queue_depth);
-            w.field("concurrent_hook_items", rs.concurrent_hook_items);
-            w.endObject();
-        }
         if (!rec.stat_tree_json.empty())
             w.key("stat_tree").rawValue(rec.stat_tree_json);
         if (!rec.fault_json.empty())
@@ -1054,7 +991,6 @@ SweepRunner::run()
     const bool want_profile = session->profileEnabled();
     const Cycles interval = session->intervalCycles();
     const FaultPlan *faults = session->faultPlan();
-    const unsigned sim_threads = session->simThreads();
     std::vector<CompletedRun> results(planned_.size());
     // Workers must not throw across the pool: capture the first watchdog
     // trip and abort (flushing the partial document) on this thread.
@@ -1071,7 +1007,7 @@ SweepRunner::run()
         try {
             results[i] = executeRun(p.spec, p.algo, p.kind, p.tweak,
                                     want_json, want_trace, interval, faults,
-                                    want_profile, sim_threads);
+                                    want_profile);
             if (session->checkpointing())
                 session->journalCompleted(p.key, results[i]);
         } catch (const WatchdogError &e) {

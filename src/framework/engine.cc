@@ -19,6 +19,10 @@ Engine::Engine(const Graph &g, PropertyRegistry &props, UpdateFn fn,
 {
     omega_assert(props_.numVertices() == g_.numVertices(),
                  "property registry size mismatch");
+    // CacheLine::sharers is a 16-bit mask, which also lets scriptedFor
+    // track the cores with work left in one word.
+    omega_assert(!mach_ || num_cores_ <= 16,
+                 "a machine has at most 16 cores");
 
     // Simulated layout of the edgeList region: out offsets then out arcs.
     edge_entry_bytes_ = opts_.weighted ? 8 : 4;
@@ -43,12 +47,6 @@ Engine::Engine(const Graph &g, PropertyRegistry &props, UpdateFn fn,
     sparse_counter_addr_ =
         sparse_read_base_ +
         (static_cast<std::uint64_t>(n) * 4 + 63) / 64 * 64;
-
-    // Intra-run parallelism: a persistent pool generating per-core op
-    // scripts for the structurally pure phases (scriptedFor). Only the
-    // generation runs on it; the machine itself stays single-threaded.
-    if (mach_ && opts_.sim_threads > 1)
-        script_pool_ = std::make_unique<ThreadPool>(opts_.sim_threads);
 
     // Checkpoint sections: the engine's progress counters, then the
     // machine's whole state tree. Registration order is serialization

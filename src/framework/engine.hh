@@ -24,8 +24,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <limits>
 #include <memory>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -36,7 +36,6 @@
 #include "sim/memory_system.hh"
 #include "translate/update_fn.hh"
 #include "util/check.hh"
-#include "util/thread_pool.hh"
 
 namespace omega {
 
@@ -72,18 +71,6 @@ struct EngineOptions
      */
     Cycles watchdog_cycles = 0;
     /**
-     * Simulation worker threads for intra-run parallelism. 1 (the
-     * default) keeps everything on the calling thread. For N > 1 the
-     * engine pipelines structurally pure phases: workers generate each
-     * core's next epoch of op scripts (double-buffered banks, one ticket
-     * per core) — and, for phases that allow it, run the functional
-     * hooks at generation time — while the calling thread replays the
-     * current epoch into the machine in the canonical lowest-clock core
-     * order. Simulated results are bit-identical for every value
-     * (DESIGN.md "Epoch-scripted parallelism").
-     */
-    unsigned sim_threads = 1;
-    /**
      * Checkpoint coordinator for crash-recoverable runs, or null. The
      * engine registers its own progress counters and the machine's
      * state tree as sections and drives the coordinator's
@@ -92,6 +79,50 @@ struct EngineOptions
      * (sim/checkpoint.hh).
      */
     CheckpointCoordinator *checkpoint = nullptr;
+};
+
+/**
+ * Reused, growable buffer of one task's EngineOps. push() inlines to
+ * a capacity check and direct field stores; the rare reallocation
+ * stays out of line, so the hot generation loops carry no call.
+ */
+class OpArena
+{
+  public:
+    [[gnu::always_inline]] void
+    push(const EngineOp &op)
+    {
+        if (size_ == capacity_) [[unlikely]]
+            grow();
+        // Field by field: a whole-struct copy makes GCC build the op in
+        // a stack temporary and reload it with one 16-byte load, which
+        // cannot be store-forwarded from the narrower field stores.
+        EngineOp &dst = ops_[size_++];
+        dst.addr = op.addr;
+        dst.vertex = op.vertex;
+        dst.arg = op.arg;
+        dst.kind = op.kind;
+        dst.cls = op.cls;
+        dst.flags = op.flags;
+        dst.operand_bytes = op.operand_bytes;
+    }
+    void clear() { size_ = 0; }
+    std::size_t size() const { return size_; }
+    std::span<const EngineOp> span() const { return {ops_.get(), size_}; }
+
+  private:
+    [[gnu::noinline]] void
+    grow()
+    {
+        capacity_ = capacity_ ? 2 * capacity_ : 1024;
+        auto bigger = std::make_unique<EngineOp[]>(capacity_);
+        std::copy_n(ops_.get(), size_, bigger.get());
+        ops_ = std::move(bigger);
+    }
+
+    std::unique_ptr<EngineOp[]> ops_;
+    std::size_t size_ = 0;
+    std::size_t capacity_ = 0;
 };
 
 /**
@@ -277,12 +308,9 @@ class Engine
      * and @p apply once per destination after its edges, with the engine
      * emitting the destination-prop store.
      *
-     * The main (one-task-per-destination) phase runs its gather/apply
-     * hooks at script-generation time — on worker threads with
-     * sim_threads > 1 — so @p gather and @p apply must write only
-     * destination-owned slots and emit no machine events. Hub overflow
-     * segments share destinations, so the extras phase keeps hooks at
-     * the merge.
+     * Each task's gathers (and, for its first segment, the apply) run
+     * once the task's ops have reached the machine; @p gather and
+     * @p apply are functional only and emit no machine events.
      *
      * @param src_prop property read per in-edge (the random stream).
      * @param dst_prop property stored once per destination.
@@ -303,7 +331,8 @@ class Engine
 
     /**
      * Plain interleaved parallel-for over [0, total); @p f(core, index)
-     * does its own event emission. Ends with a barrier.
+     * does its own event emission. scriptedFor() with an empty
+     * generator and @p f as the hook. Ends with a barrier.
      *
      * @param chunk static-schedule chunk; 0 selects opts_.chunk_size.
      */
@@ -311,54 +340,42 @@ class Engine
     void parallelFor(std::uint64_t total, F &&f, unsigned chunk = 0);
 
     /**
-     * Append-only view of one core's op arena, handed to scriptedFor()
+     * Append-only view of the item op arena, handed to scriptedFor()
      * generators. hookHere() marks where the item's functional hook runs
      * during replay (default: after all of the item's ops).
      */
     class ScriptBuilder
     {
       public:
-        explicit ScriptBuilder(std::vector<EngineOp> &ops) : ops_(ops) {}
-        void push(const EngineOp &op) { ops_.push_back(op); }
+        explicit ScriptBuilder(OpArena &ops) : ops_(ops) {}
+        void push(const EngineOp &op) { ops_.push(op); }
         void hookHere() { hook_ = ops_.size(); }
-        std::uint32_t
+        std::size_t
         hookOffset() const
         {
-            return static_cast<std::uint32_t>(hook_ == kAtEnd ? ops_.size()
-                                                              : hook_);
+            return hook_ == kAtEnd ? ops_.size() : hook_;
         }
 
       private:
         static constexpr std::size_t kAtEnd = ~std::size_t{0};
-        std::vector<EngineOp> &ops_;
+        OpArena &ops_;
         std::size_t hook_ = kAtEnd;
     };
 
     /**
-     * Scripted parallel-for over [0, total) for structurally pure
-     * phases: per-item machine ops are *generated* into per-core scripts
-     * — concurrently on the script pool when sim_threads > 1 — then
-     * *replayed* on the calling thread in the canonical lowest-clock
-     * core order, with @p hook(core, index) running the item's
-     * functional work at its hook point. @p gen(builder, index) must be
-     * pure: it may read shared immutable state (graph, layout, subset)
-     * but never machine state, which is what makes the replayed stream —
-     * and therefore the simulated outcome — identical for every worker
-     * count. Ends with a barrier, like parallelFor().
-     *
-     * With @p concurrent_hooks the functional hook additionally runs at
-     * *generation* time — on a worker thread when sim_threads > 1 —
-     * instead of at the merge. Only legal when hooks commute across
-     * cores AND with the machine timing: per-item writes must target
-     * disjoint locations no other item (or the machine) reads during the
-     * phase, and the hook must emit no machine events. edgeMapPullAll's
-     * main gather phase qualifies (each destination vertex is owned by
-     * exactly one item and the source array is frozen); vertexMap does
-     * not (its functor may emit live events through the engine).
+     * Scripted parallel-for over [0, total), the engine's one scheduling
+     * loop. Items are dealt by the static-chunk schedule; each step
+     * picks the lowest-clock core (lowest id on ties) with work left,
+     * has @p gen(builder, index) write the item's machine ops into the
+     * reused item arena, and replays them in two runs split at the hook
+     * offset, with @p hook(core, index) doing the item's functional work
+     * (and any live emits) in between. @p gen must read only state the
+     * item's own ops cannot change (graph, layout, subset), never
+     * machine state. Ends with a barrier.
      */
     template <typename GenF, typename HookF>
     void scriptedFor(std::uint64_t total, GenF &&gen, HookF &&hook,
-                     unsigned chunk = 0, bool concurrent_hooks = false);
+                     unsigned chunk = 0);
 
     /** @name Simulated address bases (exposed for algorithms/tests). @{ */
     std::uint64_t outOffsetsBase() const { return out_offsets_base_; }
@@ -407,66 +424,6 @@ class Engine
     /** Record dst as newly activated; true if it was not active yet. */
     bool markActive(unsigned core, VertexId dst, bool dense_output);
 
-    /** Pick the core with the smallest clock among those with work. */
-    unsigned pickCore(const StaticScheduler &sched) const;
-
-    /** One item of a per-core script: ops [begin,end) within the core's
-     *  arena, with the functional hook running at offset hook. */
-    struct ScriptItem
-    {
-        std::uint64_t index = 0;
-        std::uint32_t begin = 0;
-        std::uint32_t hook = 0;
-        std::uint32_t end = 0;
-    };
-
-    /** One epoch's worth of generated script for one core. */
-    struct ScriptBank
-    {
-        std::vector<EngineOp> ops;
-        std::vector<ScriptItem> items;
-        /** Next item to replay. */
-        std::size_t head = 0;
-
-        bool exhausted() const { return head == items.size(); }
-        void
-        clear()
-        {
-            ops.clear();
-            items.clear();
-            head = 0;
-        }
-    };
-
-    /**
-     * One core's script pipeline: a double-buffered pair of epoch banks.
-     * The merge thread replays the front bank while (with sim_threads >
-     * 1) a worker generates the back bank under @c ticket. The generation
-     * cursor fields are written ONLY inside the generator, which runs on
-     * at most one thread at a time; the merge thread reads gen_done only
-     * while no ticket is in flight, with the happens-before edge
-     * established through the pool mutex by the waitTicket() that
-     * cleared the ticket.
-     */
-    struct CoreScript
-    {
-        ScriptBank banks[2];
-        /** Index of the bank being replayed. */
-        unsigned front = 0;
-        /** Next global index this core generates (static-chunk order). */
-        std::uint64_t cursor = 0;
-        /** cursor's offset within its chunk (tracked incrementally so
-         *  the per-item hop needs no division). */
-        std::uint32_t chunk_off = 0;
-        bool gen_done = false;
-        /** In-flight back-bank generation (null when none). */
-        ThreadPool::Ticket ticket;
-    };
-
-    /** Items generated ahead per core between epoch barriers (a batching
-     *  knob only — replay order and content cannot depend on it). */
-    static constexpr unsigned kScriptEpochItems = 64;
-
     /** Deliver one live op to the machine (raw event emission). */
     void
     emitOp(unsigned core, const EngineOp &op)
@@ -479,8 +436,8 @@ class Engine
     void
     flushOps(unsigned core)
     {
-        if (!op_buf_.empty()) {
-            mach_->replayOps(core, op_buf_);
+        if (op_buf_.size() != 0) {
+            mach_->replayOps(core, op_buf_.span());
             op_buf_.clear();
         }
     }
@@ -513,15 +470,13 @@ class Engine
     std::vector<std::uint8_t> in_next_;
     std::vector<std::vector<VertexId>> per_core_sparse_;
 
-    /** Cached per-core clocks for the parallelFor interleave scan. */
+    /** Cached per-core clocks for the scriptedFor interleave scan. */
     std::vector<Cycles> core_clocks_;
 
-    /** Per-core scripts of the scriptedFor phase in flight. */
-    std::vector<CoreScript> scripts_;
+    /** Ops of the scriptedFor item being replayed. */
+    OpArena item_ops_;
     /** Inline op buffer of the (impure) push-edgeMap path. */
-    std::vector<EngineOp> op_buf_;
-    /** Script-generation workers; null when sim_threads <= 1. */
-    std::unique_ptr<ThreadPool> script_pool_;
+    OpArena op_buf_;
 
     /** Reused task-list scratch for edgeMap / edgeMapPullAll. */
     std::vector<EdgeTask> task_scratch_;
@@ -532,97 +487,25 @@ class Engine
 // Template implementations.
 // ---------------------------------------------------------------------
 
-inline unsigned
-Engine::pickCore(const StaticScheduler &sched) const
-{
-    unsigned best = 0;
-    Cycles best_t = std::numeric_limits<Cycles>::max();
-    bool found = false;
-    for (unsigned c = 0; c < num_cores_; ++c) {
-        if (!sched.peek(c))
-            continue;
-        const Cycles t = mach_->coreNow(c);
-        if (!found || t < best_t) {
-            best = c;
-            best_t = t;
-            found = true;
-        }
-    }
-    return best;
-}
-
 template <typename F>
 void
 Engine::parallelFor(std::uint64_t total, F &&f, unsigned chunk)
 {
-    StaticScheduler sched(total, num_cores_,
-                          chunk ? chunk : opts_.chunk_size);
-    if (!mach_) {
-        // Functional mode: drain cores round-robin.
-        while (!sched.done()) {
-            for (unsigned c = 0; c < num_cores_; ++c) {
-                if (auto i = sched.next(c))
-                    f(c, *i);
-            }
-        }
-        return;
-    }
-    // Machine mode: always advance the lowest-id core among those with
-    // the smallest local clock. coreNow() is a virtual call and f only
-    // moves the worked core's clock, so cache the clocks once and refresh
-    // just that entry per iteration instead of re-polling every core.
-    core_clocks_.resize(num_cores_);
-    for (unsigned c = 0; c < num_cores_; ++c)
-        core_clocks_[c] = mach_->coreNow(c);
-    if (num_cores_ <= 64) {
-        std::uint64_t alive = 0;
-        for (unsigned c = 0; c < num_cores_; ++c) {
-            if (sched.peek(c))
-                alive |= std::uint64_t{1} << c;
-        }
-        while (alive) {
-            // countr_zero walks set bits in index order, so ties still
-            // resolve to the lowest core id.
-            std::uint64_t scan = alive;
-            unsigned best = static_cast<unsigned>(std::countr_zero(scan));
-            Cycles best_t = core_clocks_[best];
-            scan &= scan - 1;
-            while (scan) {
-                const unsigned c =
-                    static_cast<unsigned>(std::countr_zero(scan));
-                scan &= scan - 1;
-                if (core_clocks_[c] < best_t) {
-                    best = c;
-                    best_t = core_clocks_[c];
-                }
-            }
-            const auto i = sched.next(best);
-            f(best, *i);
-            core_clocks_[best] = mach_->coreNow(best);
-            if (!sched.peek(best))
-                alive &= ~(std::uint64_t{1} << best);
-        }
-    } else {
-        while (!sched.done()) {
-            const unsigned c = pickCore(sched);
-            const auto i = sched.next(c);
-            f(c, *i);
-        }
-    }
-    finishPhase();
+    scriptedFor(
+        total, [](ScriptBuilder &, std::uint64_t) {}, std::forward<F>(f),
+        chunk);
 }
 
 template <typename GenF, typename HookF>
 void
 Engine::scriptedFor(std::uint64_t total, GenF &&gen, HookF &&hook,
-                    unsigned chunk, bool concurrent_hooks)
+                    unsigned chunk)
 {
-    const unsigned k = chunk ? chunk : opts_.chunk_size;
+    StaticScheduler sched(total, num_cores_,
+                          chunk ? chunk : opts_.chunk_size);
     if (!mach_) {
-        // Functional mode: hooks only, drained round-robin exactly like
-        // parallelFor (no machine, no scripts, no barrier). Each hook
-        // still runs exactly once, so concurrent_hooks is moot here.
-        StaticScheduler sched(total, num_cores_, k);
+        // Functional mode: hooks only, drained round-robin (no machine,
+        // no ops, no barrier).
         while (!sched.done()) {
             for (unsigned c = 0; c < num_cores_; ++c) {
                 if (auto i = sched.next(c))
@@ -631,89 +514,21 @@ Engine::scriptedFor(std::uint64_t total, GenF &&gen, HookF &&hook,
         }
         return;
     }
-    omega_check(num_cores_ <= 64,
-                "scripted replay tracks cores in a 64-bit set");
-
-    scripts_.resize(num_cores_);
-    for (unsigned c = 0; c < num_cores_; ++c) {
-        CoreScript &cs = scripts_[c];
-        cs.banks[0].clear();
-        cs.banks[1].clear();
-        cs.front = 0;
-        cs.cursor = static_cast<std::uint64_t>(c) * k;
-        cs.chunk_off = 0;
-        cs.gen_done = cs.cursor >= total;
-        cs.ticket = nullptr;
-    }
-
-    ScriptReplayStats stats;
-
-    // Fill @p bank with this core's next epoch of items. The bank target
-    // is a pure batching knob: replay order and content are the same for
-    // every value, so serial and pooled modes share it — which also makes
-    // the epoch/queue-depth stats deterministic across sim_threads. On a
-    // worker this lambda owns cs.cursor/chunk_off/gen_done exclusively
-    // (the merge thread reads them only after waitTicket) and must not
-    // touch the shared stats struct.
-    auto generate = [&gen, &hook, this, total, k,
-                     concurrent_hooks](unsigned c, ScriptBank &bank) {
-        CoreScript &cs = scripts_[c];
-        while (!cs.gen_done && bank.items.size() < kScriptEpochItems) {
-            ScriptItem item;
-            item.index = cs.cursor;
-            item.begin = static_cast<std::uint32_t>(bank.ops.size());
-            ScriptBuilder b(bank.ops);
-            gen(b, cs.cursor);
-            item.hook = b.hookOffset();
-            item.end = static_cast<std::uint32_t>(bank.ops.size());
-            bank.items.push_back(item);
-            if (concurrent_hooks)
-                hook(c, cs.cursor);
-            // Advance in StaticScheduler's static-chunk order: walk the
-            // chunk, then hop over the other cores' chunks.
-            if (++cs.chunk_off < k) {
-                ++cs.cursor;
-            } else {
-                cs.chunk_off = 0;
-                cs.cursor +=
-                    1 + static_cast<std::uint64_t>(num_cores_ - 1) * k;
-            }
-            if (cs.cursor >= total)
-                cs.gen_done = true;
-        }
-    };
-
-    // A core is alive while it has pending items or indices left to
-    // generate — the same set whose sched.peek() is true at the
-    // equivalent point of the legacy loop, so the (core, index) replay
-    // sequence is identical to the legacy per-event call sequence. The
-    // mask MUST be computed before any ticket is primed: afterwards
-    // gen_done belongs to the worker.
+    // Always advance the lowest-id core among those with the smallest
+    // local clock. coreNow() is a virtual call and an item only moves
+    // its own core's clock, so cache the clocks once and refresh just
+    // the worked core's entry per item.
     core_clocks_.resize(num_cores_);
-    std::uint64_t alive = 0;
+    std::uint32_t alive = 0;
     for (unsigned c = 0; c < num_cores_; ++c) {
         core_clocks_[c] = mach_->coreNow(c);
-        if (!scripts_[c].gen_done)
-            alive |= std::uint64_t{1} << c;
+        if (sched.peek(c))
+            alive |= std::uint32_t{1} << c;
     }
-    // Prime the pipeline: every live core's first epoch goes into its
-    // back bank — on workers when pooled, so generation overlaps nothing
-    // yet but the swaps below overlap replay of the previous epoch.
-    for (std::uint64_t s = alive; s; s &= s - 1) {
-        const unsigned c = static_cast<unsigned>(std::countr_zero(s));
-        CoreScript &cs = scripts_[c];
-        ScriptBank &back = cs.banks[cs.front ^ 1];
-        if (script_pool_) {
-            cs.ticket = script_pool_->submitTicketed(
-                [&generate, c, &back] { generate(c, back); });
-        } else {
-            generate(c, back);
-        }
-    }
-
     while (alive) {
-        // Lowest clock wins; countr_zero keeps ties on the lowest id.
-        std::uint64_t scan = alive;
+        // countr_zero walks set bits in index order, so ties resolve to
+        // the lowest core id.
+        std::uint32_t scan = alive;
         unsigned best = static_cast<unsigned>(std::countr_zero(scan));
         Cycles best_t = core_clocks_[best];
         scan &= scan - 1;
@@ -725,72 +540,21 @@ Engine::scriptedFor(std::uint64_t total, GenF &&gen, HookF &&hook,
                 best_t = core_clocks_[c];
             }
         }
-        CoreScript &cs = scripts_[best];
-        if (cs.banks[cs.front].exhausted()) {
-            // Epoch swap: retire the drained front bank, promote the
-            // back bank, and (if indices remain) restart generation into
-            // the vacated bank. The promoted bank is never empty: the
-            // core is alive, so either a ticket was in flight or
-            // gen_done was false when the back bank was last filled, and
-            // generate() always produces at least one item.
-            if (script_pool_) {
-                if (!script_pool_->waitTicket(cs.ticket))
-                    ++stats.blocking_waits;
-                cs.ticket = nullptr;
-            }
-            cs.banks[cs.front].clear();
-            cs.front ^= 1;
-            if (!cs.gen_done) {
-                ScriptBank &back = cs.banks[cs.front ^ 1];
-                if (script_pool_) {
-                    cs.ticket = script_pool_->submitTicketed(
-                        [&generate, best, &back] { generate(best, back); });
-                } else {
-                    generate(best, back);
-                }
-            }
-            ++stats.epochs;
-            const std::uint64_t depth = cs.banks[cs.front].items.size();
-            if (depth > stats.max_queue_depth)
-                stats.max_queue_depth = depth;
-        }
-        ScriptBank &fb = cs.banks[cs.front];
-        const ScriptItem &item = fb.items[fb.head];
-        const EngineOp *ops = fb.ops.data();
-        if (concurrent_hooks) {
-            // Hook already ran at generation time: replay the item's ops
-            // as one run.
-            if (item.end > item.begin)
-                mach_->replayOps(best,
-                                 {ops + item.begin, item.end - item.begin});
-        } else {
-            if (item.hook > item.begin)
-                mach_->replayOps(best,
-                                 {ops + item.begin, item.hook - item.begin});
-            hook(best, item.index);
-            if (item.end > item.hook)
-                mach_->replayOps(best,
-                                 {ops + item.hook, item.end - item.hook});
-        }
-        ++fb.head;
-        ++stats.merged_items;
-        stats.merged_ops += item.end - item.begin;
+        const std::uint64_t idx = *sched.next(best);
+        item_ops_.clear();
+        ScriptBuilder b(item_ops_);
+        gen(b, idx);
+        const std::span<const EngineOp> ops = item_ops_.span();
+        const std::size_t at = b.hookOffset();
+        if (at != 0)
+            mach_->replayOps(best, ops.first(at));
+        hook(best, idx);
+        if (ops.size() != at)
+            mach_->replayOps(best, ops.subspan(at));
         core_clocks_[best] = mach_->coreNow(best);
-        // Dead only when both banks are spent: front drained, no ticket
-        // in flight, the generator out of indices, AND the back bank
-        // empty — in serial mode the final epoch is generated eagerly at
-        // the preceding swap, so gen_done can be true while the back
-        // bank still holds unreplayed items. The short-circuit order
-        // matters — gen_done and the back bank are only safe to read
-        // once the ticket is known null (cleared by a waitTicket, which
-        // publishes the worker's writes through the pool mutex).
-        if (fb.exhausted() && cs.ticket == nullptr && cs.gen_done &&
-            cs.banks[cs.front ^ 1].exhausted())
-            alive &= ~(std::uint64_t{1} << best);
+        if (!sched.peek(best))
+            alive &= ~(std::uint32_t{1} << best);
     }
-    if (concurrent_hooks)
-        stats.concurrent_hook_items = stats.merged_items;
-    mach_->accumulateReplayStats(stats);
     finishPhase();
 }
 
@@ -875,16 +639,16 @@ Engine::processEdgeTask(unsigned core, const EdgeTask &task,
     if (task.first_segment) {
         if (sim) {
             if (sparse_frontier) {
-                op_buf_.push_back(EngineOp::load(
+                op_buf_.push(EngineOp::load(
                     sparse_read_base_ + 4 * task.frontier_slot, 4,
                     AccessClass::ActiveList, false, 0,
                     /*sequential=*/true));
             } else {
-                op_buf_.push_back(EngineOp::load(
+                op_buf_.push(EngineOp::load(
                     dense_active_base_ + u, 1, AccessClass::ActiveList,
                     false, 0, /*sequential=*/true));
             }
-            op_buf_.push_back(EngineOp::compute(1));
+            op_buf_.push(EngineOp::compute(1));
         }
         if (!task.active) {
             if (sim)
@@ -893,11 +657,11 @@ Engine::processEdgeTask(unsigned core, const EdgeTask &task,
         }
         if (sim) {
             // The offsets pair read (see emitOffsetsRead).
-            op_buf_.push_back(EngineOp::load(
+            op_buf_.push(EngineOp::load(
                 out_offsets_base_ + static_cast<std::uint64_t>(u) * 8, 16,
                 AccessClass::EdgeList, false, 0,
                 /*sequential=*/!sparse_frontier));
-            op_buf_.push_back(EngineOp::compute(opts_.ops_per_vertex));
+            op_buf_.push(EngineOp::compute(opts_.ops_per_vertex));
         }
         if constexpr (!std::is_same_v<std::decay_t<VertexHookF>,
                                       NoVertexHook>) {
@@ -918,12 +682,12 @@ Engine::processEdgeTask(unsigned core, const EdgeTask &task,
     for (std::size_t i = task.offset; i < end; ++i) {
         const VertexId dst = nbrs[i];
         if (sim) {
-            op_buf_.push_back(EngineOp::load(
+            op_buf_.push(EngineOp::load(
                 out_arcs_base_ + (base + i) * edge_entry_bytes_,
                 edge_entry_bytes_, AccessClass::EdgeList, false, 0,
                 /*sequential=*/true));
             if (read_src) {
-                op_buf_.push_back(EngineOp::srcProp(
+                op_buf_.push(EngineOp::srcProp(
                     u, src_prop_->addrOf(u), src_prop_->typeSize()));
             }
         }
@@ -931,7 +695,7 @@ Engine::processEdgeTask(unsigned core, const EdgeTask &task,
         const EdgeUpdateResult r = update(core, u, dst, ws[i]);
 
         if (r.read_dst && atomic_target_ && sim) {
-            op_buf_.push_back(EngineOp::load(
+            op_buf_.push(EngineOp::load(
                 atomic_target_->addrOf(dst), atomic_target_->typeSize(),
                 AccessClass::VertexProp, false, dst));
         }
@@ -939,14 +703,14 @@ Engine::processEdgeTask(unsigned core, const EdgeTask &task,
             (r.activated && want_output) ? markActive(core, dst, dense_output)
                                          : false;
         if (r.performed_atomic && atomic_target_ && sim) {
-            op_buf_.push_back(EngineOp::atomic(
+            op_buf_.push(EngineOp::atomic(
                 dst, atomic_target_->addrOf(dst),
                 atomic_target_->typeSize(),
                 static_cast<std::uint8_t>(fn_.operand_bytes),
                 newly && dense_output, newly && !dense_output));
         }
         if (sim)
-            op_buf_.push_back(EngineOp::compute(opts_.ops_per_edge));
+            op_buf_.push(EngineOp::compute(opts_.ops_per_edge));
     }
     if (sim)
         flushOps(core);
@@ -1101,12 +865,10 @@ Engine::edgeMapPullAll(const PropArrayBase &src_prop,
     }
 
     // Pull tasks are structurally pure: every op depends only on the
-    // graph and the property layout, so the scripts can be generated
-    // ahead of the replay (and concurrently, with sim_threads > 1). The
-    // gathers and the apply are functional-only — running them at the
-    // item hook, after the item's ops, is invisible to both streams: the
-    // legacy order emits nothing between them, and the destination store
-    // is address-only.
+    // graph and the property layout, so they run scripted. The gathers
+    // and the apply are functional-only and sit at the default hook
+    // offset, after all of the task's ops: nothing is emitted between
+    // them, and the destination store is address-only.
     auto gen_task = [&](ScriptBuilder &b, const EdgeTask &task) {
         const VertexId dst = task.u;
         if (task.first_segment) {
@@ -1147,18 +909,14 @@ Engine::edgeMapPullAll(const PropArrayBase &src_prop,
             apply(core, dst);
     };
 
-    // Main tasks: one per destination vertex, so the hooks touch
-    // disjoint accumulator slots and may run at generation time (on
-    // workers). Each destination's additions still happen in ascending
-    // edge order within its single task, so the floating-point results
-    // are bit-identical to the merge-time order.
+    // Main tasks: one per destination vertex, whose additions happen in
+    // ascending edge order within its single task.
     scriptedFor(
         tasks.size(),
         [&](ScriptBuilder &b, std::uint64_t idx) { gen_task(b, tasks[idx]); },
         [&](unsigned core, std::uint64_t idx) {
             hook_task(core, tasks[idx]);
-        },
-        /*chunk=*/0, /*concurrent_hooks=*/true);
+        });
     if (!extras.empty()) {
         mergeExtraTasks(extras);
         scriptedFor(
@@ -1180,11 +938,11 @@ Engine::vertexMap(const VertexSubset &subset, F &&f,
                   const std::vector<const PropArrayBase *> &writes)
 {
     // vertexMap is structurally pure (op content depends only on the
-    // subset and the property layout), so it runs scripted. The property
-    // reads replay ahead of the hook and the writes + per-vertex compute
-    // after it: f may emit live events of its own (some algorithms do),
-    // and they land between the two replay segments exactly where the
-    // legacy per-event order put them.
+    // subset and the property layout), so it runs scripted. hookHere()
+    // splits each item: the active-list and property reads replay ahead
+    // of f and the writes + per-vertex compute after it, so live events
+    // f emits (some algorithms do) land between the two runs, exactly
+    // where the legacy per-event order put them.
     auto gen_active = [&](ScriptBuilder &b, VertexId v) {
         for (const auto *p : reads) {
             b.push(EngineOp::load(p->addrOf(v), p->typeSize(),

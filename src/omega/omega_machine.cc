@@ -136,7 +136,6 @@ void
 OmegaMachine::configure(const MachineConfig &config)
 {
     config_ = config;
-    hierarchy_.rebindSpineOwners();
 
     // Scratchpad line: all vtxProp entries of one vertex plus the dense
     // active-list bit (rounded up into one byte).
@@ -711,7 +710,6 @@ OmegaMachine::saveState(SnapshotWriter &w) const
     w.putBool(injector_ != nullptr);
     if (injector_ != nullptr)
         injector_->save(w);
-    replay_stats_.save(w);
 }
 
 void
@@ -761,7 +759,6 @@ OmegaMachine::restoreState(SnapshotReader &r)
     }
     if (injector_ != nullptr)
         injector_->restore(r);
-    replay_stats_.restore(r);
 }
 
 std::string

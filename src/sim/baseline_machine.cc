@@ -96,7 +96,6 @@ void
 BaselineMachine::configure(const MachineConfig &config)
 {
     config_ = config;
-    hierarchy_.rebindSpineOwners();
     last_barrier_cycles_ = global_cycles_;
     refreshWatchdog();
     if (profiler_ != nullptr)
@@ -179,7 +178,6 @@ BaselineMachine::saveState(SnapshotWriter &w) const
     w.putBool(injector_ != nullptr);
     if (injector_ != nullptr)
         injector_->save(w);
-    replay_stats_.save(w);
 }
 
 void
@@ -212,7 +210,6 @@ BaselineMachine::restoreState(SnapshotReader &r)
     }
     if (injector_ != nullptr)
         injector_->restore(r);
-    replay_stats_.restore(r);
 }
 
 std::string

@@ -7,9 +7,9 @@
  * itself as named *sections* on a CheckpointCoordinator at run start.
  * Checkpoints are taken only at engine iteration boundaries, where the
  * machine is quiescent by construction: every core has drained through
- * the barrier, no scripted epoch is in flight, the push-path op buffer
- * is empty and completed busy-table entries have retired. At such a
- * point the registered sections are the *complete* simulation state, so
+ * the barrier, every op the engine generated has been replayed and
+ * completed busy-table entries have retired. At such a point the
+ * registered sections are the *complete* simulation state, so
  * restoring them into a freshly constructed run and simply re-entering
  * the algorithm loop reproduces the uninterrupted run bit for bit —
  * there is no replay or fast-forward phase whose event order could

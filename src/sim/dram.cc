@@ -84,7 +84,6 @@ Cycles
 Dram::read(Cycles now, std::uint64_t addr, std::uint32_t bytes,
            bool prefetched)
 {
-    spine_owner_.assertOwned();
     ++reads_;
     read_bytes_ += bytes;
     if (profile::compiledIn() && profiler_ != nullptr)
@@ -113,7 +112,6 @@ Dram::read(Cycles now, std::uint64_t addr, std::uint32_t bytes,
 void
 Dram::write(Cycles now, std::uint64_t addr, std::uint32_t bytes)
 {
-    spine_owner_.assertOwned();
     ++writes_;
     write_bytes_ += bytes;
     if (profile::compiledIn() && profiler_ != nullptr)

@@ -18,7 +18,6 @@
 
 #include "sim/params.hh"
 #include "sim/snapshot.hh"
-#include "sim/spine.hh"
 #include "util/stats.hh"
 
 namespace omega {
@@ -124,9 +123,6 @@ class Dram
 
     void reset();
 
-    /** Release the debug-only thread-ownership binding (sim/spine.hh). */
-    void rebindSpineOwner() { spine_owner_.rebind(); }
-
   private:
     /** Serialize a transfer on its channel; returns its start time. */
     Cycles occupy(Cycles now, unsigned channel, std::uint32_t bytes);
@@ -144,8 +140,6 @@ class Dram
     Cycles line_occupancy_ = 1;
     Cycles line_transfer_ = 0;
     int trace_pid_ = 0;
-    /** Shared-spine ownership tag (sim/spine.hh). */
-    SpineOwner spine_owner_;
     FaultInjector *fault_inj_ = nullptr;
     AccessProfiler *profiler_ = nullptr;
     std::vector<Cycles> channel_free_;

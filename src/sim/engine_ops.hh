@@ -12,13 +12,9 @@
  * friends) hand over one-op spans. Each machine therefore implements a
  * single devirtualized switch with one handler per op kind.
  *
- * EngineOps are also the unit of the deterministic intra-run parallelism
- * (DESIGN.md "Epoch-scripted parallelism"): for structurally pure phases
- * the per-core op scripts are *generated* concurrently on a thread pool,
- * then *replayed* into the single-threaded machine in the canonical
- * lowest-clock core order. Because an op's content never depends on
- * machine state or on other cores' progress, the script bytes — and
- * therefore the simulated outcome — are identical for any worker count.
+ * For structurally pure phases (Engine::scriptedFor) an item's ops are
+ * generated into a reused arena and replayed at once, split only at
+ * the item's functional hook (DESIGN.md "Fused item loop").
  */
 
 #ifndef OMEGA_SIM_ENGINE_OPS_HH
@@ -28,7 +24,6 @@
 
 #include "graph/types.hh"
 #include "sim/access.hh"
-#include "sim/snapshot.hh"
 
 namespace omega {
 
@@ -173,73 +168,6 @@ struct EngineOp
 };
 
 static_assert(sizeof(EngineOp) <= 24, "EngineOp must stay compact");
-
-/**
- * Counters of the scripted replay path (Engine::scriptedFor), accumulated
- * per machine across a run's phases. Every field except blocking_waits is
- * a pure function of (graph, layout, phase structure) — identical for
- * every sim_threads value and every thread interleaving, which
- * test_sim_threads pins by folding them into its digest.
- */
-struct ScriptReplayStats
-{
-    /** Epoch-bank refills across all cores (pipeline swap points). */
-    std::uint64_t epochs = 0;
-    /** Script items applied through the canonical-order merge. */
-    std::uint64_t merged_items = 0;
-    /** Engine ops applied through the merge. */
-    std::uint64_t merged_ops = 0;
-    /** Deepest per-core item queue observed at a bank swap. */
-    std::uint64_t max_queue_depth = 0;
-    /** Items whose functional hooks ran at generation time (on a worker
-     *  when sim_threads > 1) instead of at the merge. */
-    std::uint64_t concurrent_hook_items = 0;
-    /**
-     * Bank swaps that actually blocked on an unfinished generation
-     * ticket. Wall-clock-dependent: NOT deterministic across runs or
-     * thread counts, so it must never be rendered into byte-compared
-     * output (it is reported via OMEGA_PARALLEL_STATS stderr only).
-     */
-    std::uint64_t blocking_waits = 0;
-
-    void
-    accumulate(const ScriptReplayStats &o)
-    {
-        epochs += o.epochs;
-        merged_items += o.merged_items;
-        merged_ops += o.merged_ops;
-        if (o.max_queue_depth > max_queue_depth)
-            max_queue_depth = o.max_queue_depth;
-        concurrent_hook_items += o.concurrent_hook_items;
-        blocking_waits += o.blocking_waits;
-    }
-
-    /**
-     * Snapshot every field except blocking_waits, which is
-     * wall-clock-dependent: a resumed run re-accumulates its own waits,
-     * keeping byte-compared output deterministic either way.
-     */
-    void
-    save(SnapshotWriter &w) const
-    {
-        w.putU64(epochs);
-        w.putU64(merged_items);
-        w.putU64(merged_ops);
-        w.putU64(max_queue_depth);
-        w.putU64(concurrent_hook_items);
-    }
-    /** Inverse of save(); resets blocking_waits. */
-    void
-    restore(SnapshotReader &r)
-    {
-        epochs = r.getU64();
-        merged_items = r.getU64();
-        merged_ops = r.getU64();
-        max_queue_depth = r.getU64();
-        concurrent_hook_items = r.getU64();
-        blocking_waits = 0;
-    }
-};
 
 } // namespace omega
 

@@ -76,11 +76,8 @@ struct MachineConfig
 /**
  * Abstract machine. Engine events have one way in, replayOps(); the
  * remaining virtuals are synchronization (barrier, endIteration), clock
- * queries and observability. All methods are single-threaded: every
- * event enters through the calling (merge) thread, even when the engine
- * runs with sim_threads > 1 — workers only generate scripts and run
- * functional hooks, never machine methods (DESIGN.md "Epoch-scripted
- * parallelism").
+ * queries and observability. All methods are single-threaded: one run
+ * drives one machine from one thread.
  */
 class MemorySystem
 {
@@ -194,9 +191,9 @@ class MemorySystem
      * Serialize every word of mutable machine state — clocks, tile
      * state, the spine (caches, crossbar, DRAM, scratchpads), counters
      * and any armed fault injector. Only meaningful at an iteration
-     * boundary (cores drained through a barrier, no scripted epoch in
-     * flight). Default: unsupported — a machine that does not override
-     * the pair cannot be checkpointed.
+     * boundary (cores drained through a barrier). Default: unsupported
+     * — a machine that does not override the pair cannot be
+     * checkpointed.
      */
     virtual void
     saveState(SnapshotWriter &w) const
@@ -220,28 +217,8 @@ class MemorySystem
     }
     /** @} */
 
-    /** @name Scripted-replay statistics @{ */
-    /**
-     * Fold one scriptedFor phase's counters into the per-run totals.
-     * Called by the engine at each phase barrier; lives on the machine so
-     * the totals survive across the several Engine instances some
-     * algorithms construct (sliced PageRank, BC).
-     */
-    void
-    accumulateReplayStats(const ScriptReplayStats &stats)
-    {
-        replay_stats_.accumulate(stats);
-    }
-    const ScriptReplayStats &replayStats() const { return replay_stats_; }
-    /** @} */
-
   protected:
     IntervalRecorder *recorder_ = nullptr;
-    /** Scripted-replay totals (deliberately NOT in the stat tree, whose
-     *  entry list is frozen by the pinned golden digests; the bench
-     *  session renders them as a separate per-run "sim_parallel"
-     *  object). */
-    ScriptReplayStats replay_stats_;
 };
 
 } // namespace omega

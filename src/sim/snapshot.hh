@@ -86,8 +86,10 @@ class SnapshotStateError : public SnapshotError
     using SnapshotError::SnapshotError;
 };
 
-/** Current snapshot format version. Bump on any layout change. */
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+/** Current snapshot format version. Bump on any layout change.
+ *  Version 2 dropped the per-run script-replay counters from machine
+ *  sections and sweep-journal records. */
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /** FNV-1a 64-bit over @p size bytes (the payload checksum). */
 std::uint64_t snapshotChecksum(const void *data, std::size_t size);

@@ -52,37 +52,6 @@ ThreadPool::wait()
                    [this] { return queue_.empty() && in_flight_ == 0; });
 }
 
-ThreadPool::Ticket
-ThreadPool::submitTicketed(std::function<void()> task)
-{
-    omega_assert(task != nullptr, "submitted an empty ticketed task");
-    auto ticket = std::make_shared<TicketState>();
-    submit([this, ticket, task = std::move(task)] {
-        task();
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            ticket->done = true;
-        }
-        // all_done_ doubles as the ticket-completion channel; wait()'s
-        // and waitTicket()'s predicates each re-check their own state,
-        // so the extra wakeups are harmless.
-        all_done_.notify_all();
-    });
-    return ticket;
-}
-
-bool
-ThreadPool::waitTicket(const Ticket &ticket)
-{
-    if (ticket == nullptr)
-        return true;
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (ticket->done)
-        return true;
-    all_done_.wait(lock, [&ticket] { return ticket->done; });
-    return false;
-}
-
 void
 ThreadPool::workerLoop()
 {

@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -46,33 +45,6 @@ class ThreadPool
 
     /** Block until every submitted task has finished executing. */
     void wait();
-
-    /** Completion state of one ticketed task (see submitTicketed). */
-    struct TicketState
-    {
-        bool done = false;
-    };
-    /**
-     * Handle to one submitted task. Shared so the submitter may drop it
-     * (or outlive the pool's interest in it) without coordination.
-     */
-    using Ticket = std::shared_ptr<TicketState>;
-
-    /**
-     * Enqueue @p task like submit(), returning a ticket that completes
-     * when this task (alone) has finished. Lets a producer/consumer
-     * pipeline wait for one specific task while others stay queued,
-     * where wait() would block on the whole queue.
-     */
-    Ticket submitTicketed(std::function<void()> task);
-
-    /**
-     * Block until the ticketed task has finished. Returns true when it
-     * had already completed (no blocking happened), false when this call
-     * actually had to wait — callers use the distinction to count
-     * pipeline stalls. A null ticket counts as complete.
-     */
-    bool waitTicket(const Ticket &ticket);
 
     unsigned numThreads() const
     {

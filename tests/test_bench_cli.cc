@@ -22,7 +22,6 @@
 #include "graph/datasets.hh"
 #include "sim/checkpoint.hh"
 #include "sim/snapshot.hh"
-#include "util/thread_pool.hh"
 
 namespace omega::bench {
 namespace {
@@ -121,37 +120,13 @@ TEST(BenchCli, AcceptsValidFlags)
     EXPECT_TRUE(session.faultPlan()->armed());
 }
 
-TEST(BenchCli, SimThreadsClampsToHardwareConcurrency)
+TEST(BenchCliDeathTest, RetiredSimThreadsFlagIsUnknown)
 {
-    // An over-subscribed --sim-threads is clamped (with a warning) to
-    // the host's hardware concurrency: extra script-generation workers
-    // could only time-slice. Results are thread-count-invariant anyway
-    // (test_sim_threads), so clamping is a pure overhead fix.
-    std::vector<std::string> arg_strings = {"bench", "--sim-threads",
-                                            "100000"};
-    std::vector<char *> argv;
-    for (std::string &s : arg_strings)
-        argv.push_back(s.data());
-    BenchSession session("bench", static_cast<int>(argv.size()),
-                         argv.data());
-    EXPECT_EQ(session.simThreads(), ThreadPool::hardwareJobs());
-}
-
-TEST(BenchCli, SimThreadsWithinHardwareIsKept)
-{
-    std::vector<std::string> arg_strings = {"bench", "--sim-threads", "1"};
-    std::vector<char *> argv;
-    for (std::string &s : arg_strings)
-        argv.push_back(s.data());
-    BenchSession session("bench", static_cast<int>(argv.size()),
-                         argv.data());
-    EXPECT_EQ(session.simThreads(), 1u);
-}
-
-TEST(BenchCliDeathTest, RejectsZeroSimThreads)
-{
-    EXPECT_EXIT(makeSession({"--sim-threads", "0"}),
-                ::testing::ExitedWithCode(2), "thread count");
+    // Runs are single-threaded inside; an old invocation that still
+    // passes --sim-threads gets the unknown-flag usage exit.
+    EXPECT_EXIT(makeSession({"--sim-threads", "1"}),
+                ::testing::ExitedWithCode(2),
+                "unknown flag '--sim-threads'");
 }
 
 TEST(BenchCli, NoFaultsFlagMeansNoPlan)

@@ -19,12 +19,14 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "omega/omega_machine.hh"
 #include "sim/baseline_machine.hh"
 #include "sim/checkpoint.hh"
 #include "sim/fault.hh"
+#include "sim/machine_registry.hh"
 #include "sim/params.hh"
 #include "sim/snapshot.hh"
 #include "testing/capture.hh"
@@ -179,55 +181,90 @@ armedDigest(const MemorySystem &m)
     return h;
 }
 
+/** Every registered timing machine, in canonical registry order. */
+const std::vector<std::string> kRegistryMachines = {
+    "baseline", "grasp", "omega", "omega-sp-only"};
+
+std::unique_ptr<MemorySystem>
+makeRegistryMachine(const std::string &name)
+{
+    const MachineRegistryEntry &entry = machineEntry(name);
+    return entry.make(entry.make_params());
+}
+
+TEST(FaultCampaign, ArmedBfsDigestIsReproducibleOnEveryMachine)
+{
+    // Fault injection draws from a deterministic per-run RNG keyed on
+    // event order, and recovery retries re-enter the scripted and
+    // buffered engine paths mid-phase. Two armed runs on fresh machines
+    // must therefore agree bit for bit, on every registry machine and
+    // over a power-law, a mesh and a maximum-skew graph.
+    const FaultPlan plan = transientPlan();
+    const std::vector<FuzzSpec> graphs = {
+        {FuzzFamily::Rmat, 7, 256, 8, true},
+        {FuzzFamily::RoadMesh, 11, 225, 4, true},
+        {FuzzFamily::Star, 13, 128, 1, true},
+    };
+    for (const FuzzSpec &spec : graphs) {
+        const Graph g = spec.materialize();
+        for (const std::string &machine : kRegistryMachines) {
+            std::uint64_t digests[2] = {};
+            for (std::uint64_t &digest : digests) {
+                auto m = makeRegistryMachine(machine);
+                m->armFaults(plan);
+                (void)runAlgorithmOnMachine(AlgorithmKind::BFS, g, m.get(),
+                                            EngineOptions{});
+                digest = armedDigest(*m);
+            }
+            EXPECT_EQ(digests[0], digests[1])
+                << machine << " / " << spec.describe()
+                << ": armed BFS is not reproducible";
+        }
+    }
+}
+
 TEST(FaultCampaign, ArmedResumeReproducesUninterruptedDigest)
 {
     // A checkpoint taken mid-campaign carries the injector's xorshift
     // stream, escalation counters and running trace digest; the resumed
-    // run must fire the exact remaining fault sequence. Checked over
-    // both machine families and sim_threads {1, 8}.
+    // run must fire the exact remaining fault sequence. Checked on every
+    // registry machine.
     const Graph g = campaignGraph().materialize();
     const FaultPlan plan = transientPlan();
     const std::string path =
         ::testing::TempDir() + "armed_resume.snap";
-    for (Machine which : {Machine::Baseline, Machine::Omega}) {
-        auto ref = makeMachine(which);
+    for (const std::string &machine : kRegistryMachines) {
+        auto ref = makeRegistryMachine(machine);
         ref->armFaults(plan);
-        EngineOptions ref_opts;
         (void)runAlgorithmOnMachine(AlgorithmKind::BFS, g, ref.get(),
-                                    ref_opts);
+                                    EngineOptions{});
         const std::uint64_t uninterrupted = armedDigest(*ref);
 
-        for (const unsigned threads : {1u, 8u}) {
-            const std::string key = "armed/" + ref->name();
-            CheckpointCoordinator coord;
-            coord.configureSave(path, /*every=*/0);
-            coord.test_stop = [](std::uint64_t it) { return it == 2; };
-            coord.beginRun(key);
-            {
-                auto m = makeMachine(which);
-                m->armFaults(plan);
-                EngineOptions opts;
-                opts.sim_threads = threads;
-                opts.checkpoint = &coord;
-                EXPECT_THROW(runAlgorithmOnMachine(AlgorithmKind::BFS, g,
-                                                   m.get(), opts),
-                             CheckpointInterrupt);
-            }
-            CheckpointCoordinator resume;
-            resume.setResumePayload(readSnapshotFile(path));
-            resume.beginRun(key);
-            auto m = makeMachine(which);
+        const std::string key = "armed/" + machine;
+        CheckpointCoordinator coord;
+        coord.configureSave(path, /*every=*/0);
+        coord.test_stop = [](std::uint64_t it) { return it == 2; };
+        coord.beginRun(key);
+        {
+            auto m = makeRegistryMachine(machine);
             m->armFaults(plan);
             EngineOptions opts;
-            opts.sim_threads = threads;
-            opts.checkpoint = &resume;
-            (void)runAlgorithmOnMachine(AlgorithmKind::BFS, g, m.get(),
-                                        opts);
-            EXPECT_FALSE(resume.resumePending());
-            EXPECT_EQ(armedDigest(*m), uninterrupted)
-                << m->name() << " armed resume diverged at sim_threads="
-                << threads;
+            opts.checkpoint = &coord;
+            EXPECT_THROW(runAlgorithmOnMachine(AlgorithmKind::BFS, g,
+                                               m.get(), opts),
+                         CheckpointInterrupt);
         }
+        CheckpointCoordinator resume;
+        resume.setResumePayload(readSnapshotFile(path));
+        resume.beginRun(key);
+        auto m = makeRegistryMachine(machine);
+        m->armFaults(plan);
+        EngineOptions opts;
+        opts.checkpoint = &resume;
+        (void)runAlgorithmOnMachine(AlgorithmKind::BFS, g, m.get(), opts);
+        EXPECT_FALSE(resume.resumePending());
+        EXPECT_EQ(armedDigest(*m), uninterrupted)
+            << machine << " armed resume diverged";
     }
     std::remove(path.c_str());
 }

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <tuple>
 
 #include "algorithms/bfs.hh"
 #include "algorithms/pagerank.hh"
@@ -16,6 +18,8 @@
 #include "graph/builder.hh"
 #include "graph/generators.hh"
 #include "sim/baseline_machine.hh"
+#include "sim/machine_registry.hh"
+#include "testing/fuzz.hh"
 #include "util/rng.hh"
 
 namespace omega {
@@ -417,6 +421,201 @@ TEST(Engine, IterationCounterAdvances)
     eng.finishIteration();
     eng.finishIteration();
     EXPECT_EQ(eng.iterations(), 2u);
+}
+
+/**
+ * Machine stub that records every op it is handed, tagged with its core
+ * and the replayOps() call that carried it. Each core's clock advances
+ * by one per access and by the instruction-equivalents of a compute, so
+ * the engine's lowest-clock pick really interleaves the cores.
+ */
+class RecordingMachine final : public MemorySystem
+{
+  public:
+    struct Event
+    {
+        unsigned core = 0;
+        std::size_t call = 0;
+        EngineOp op;
+    };
+
+    RecordingMachine()
+        : params_(MachineParams::baseline()), clocks_(params_.num_cores, 0)
+    {
+    }
+
+    void configure(const MachineConfig &) override {}
+    void
+    replayOps(unsigned core, std::span<const EngineOp> ops) override
+    {
+        for (const EngineOp &op : ops) {
+            events.push_back({core, calls, op});
+            clocks_[core] += op.kind == EngineOpKind::Compute ? op.arg : 1;
+        }
+        ++calls;
+    }
+    void
+    barrier() override
+    {
+        const Cycles t = *std::max_element(clocks_.begin(), clocks_.end());
+        std::fill(clocks_.begin(), clocks_.end(), t);
+        barriers.push_back(events.size());
+    }
+    void endIteration() override {}
+    Cycles coreNow(unsigned core) const override { return clocks_[core]; }
+    Cycles cycles() const override { return clocks_[0]; }
+    StatsReport report() const override { return {}; }
+    const MachineParams &params() const override { return params_; }
+    std::string name() const override { return "recording"; }
+
+    std::vector<Event> events;
+    /** events.size() at each barrier. */
+    std::vector<std::size_t> barriers;
+    std::size_t calls = 0;
+
+  private:
+    MachineParams params_;
+    std::vector<Cycles> clocks_;
+};
+
+/** Every field of one recorded event, for stream equality. */
+auto
+eventKey(const RecordingMachine::Event &e)
+{
+    const EngineOp &op = e.op;
+    return std::make_tuple(e.core, e.call, op.addr, op.vertex, op.arg,
+                           op.kind, op.cls, op.flags, op.operand_bytes);
+}
+
+TEST(Engine, VertexMapLiveEmitLandsBetweenReadsAndWrites)
+{
+    // vertexMap's hook offset sits after the item's active-list and
+    // property reads: a live emit from the functor must reach the
+    // machine after those reads and before the item's writes and
+    // per-vertex compute, each group in its own replay run.
+    constexpr VertexId kN = 40;
+    constexpr std::uint64_t kMarker = 0x7000000000ull;
+    Graph g = chainGraph(kN);
+    PropertyRegistry props(kN);
+    auto &in = props.create<std::int32_t>("in", 0);
+    auto &out = props.create<std::int32_t>("out", 0);
+    const std::vector<VertexId> active = {3, 17, 30};
+
+    for (const bool dense : {false, true}) {
+        RecordingMachine mach;
+        Engine eng(g, props, pageRankUpdateFn(), &mach);
+        VertexSubset subset = VertexSubset::fromSparse(kN, active);
+        if (dense)
+            subset.toDense();
+        eng.vertexMap(
+            subset,
+            [&](unsigned core, VertexId v) {
+                eng.emitLoad(core, kMarker + v, 4, AccessClass::VertexProp);
+            },
+            {&in}, {&out});
+
+        for (const VertexId v : active) {
+            const auto it = std::find_if(
+                mach.events.begin(), mach.events.end(), [&](const auto &e) {
+                    return e.op.addr == kMarker + v;
+                });
+            ASSERT_NE(it, mach.events.end()) << "no live emit for " << v;
+            const auto i = static_cast<std::size_t>(it - mach.events.begin());
+            ASSERT_GE(i, 2u);
+            ASSERT_LT(i + 2, mach.events.size());
+            const auto &active_read = mach.events[i - 2];
+            const auto &prop_read = mach.events[i - 1];
+            const auto &live = mach.events[i];
+            const auto &store = mach.events[i + 1];
+            const auto &compute = mach.events[i + 2];
+            EXPECT_EQ(active_read.op.kind, EngineOpKind::Load);
+            EXPECT_EQ(active_read.op.cls, AccessClass::ActiveList);
+            EXPECT_EQ(prop_read.op.kind, EngineOpKind::Load);
+            EXPECT_EQ(prop_read.op.addr, in.addrOf(v));
+            EXPECT_EQ(store.op.kind, EngineOpKind::Store);
+            EXPECT_EQ(store.op.addr, out.addrOf(v));
+            EXPECT_EQ(compute.op.kind, EngineOpKind::Compute);
+            for (const auto *e : {&active_read, &prop_read, &store, &compute})
+                EXPECT_EQ(e->core, live.core) << "v=" << v;
+            // Reads, live emit, writes: three consecutive replay runs.
+            EXPECT_EQ(active_read.call, live.call - 1);
+            EXPECT_EQ(prop_read.call, live.call - 1);
+            EXPECT_EQ(store.call, live.call + 1);
+            EXPECT_EQ(compute.call, live.call + 1);
+        }
+    }
+}
+
+/** Run one plain parallel-for (or its scriptedFor spelling) whose body
+ *  emits live events, and return the recorded stream. */
+RecordingMachine
+recordParallelFor(bool as_scripted, std::uint64_t total, unsigned chunk)
+{
+    Graph g = chainGraph(4);
+    PropertyRegistry props(4);
+    RecordingMachine mach;
+    Engine eng(g, props, pageRankUpdateFn(), &mach);
+    auto body = [&eng](unsigned core, std::uint64_t i) {
+        eng.emitLoad(core, 0x1000 + 64 * i, 8, AccessClass::EdgeList);
+        eng.emitCompute(core, static_cast<std::uint32_t>(1 + i % 5));
+    };
+    if (as_scripted) {
+        eng.scriptedFor(
+            total, [](Engine::ScriptBuilder &, std::uint64_t) {}, body,
+            chunk);
+    } else {
+        eng.parallelFor(total, body, chunk);
+    }
+    return mach;
+}
+
+TEST(Engine, ParallelForIsScriptedForWithEmptyGenerator)
+{
+    for (const unsigned chunk : {0u, 1u, 3u}) {
+        const RecordingMachine plain = recordParallelFor(false, 300, chunk);
+        const RecordingMachine scripted = recordParallelFor(true, 300, chunk);
+        ASSERT_EQ(plain.events.size(), 600u);
+        ASSERT_EQ(plain.events.size(), scripted.events.size());
+        for (std::size_t i = 0; i < plain.events.size(); ++i) {
+            ASSERT_EQ(eventKey(plain.events[i]), eventKey(scripted.events[i]))
+                << "chunk " << chunk << ", event " << i;
+        }
+        EXPECT_EQ(plain.barriers, scripted.barriers);
+        EXPECT_EQ(plain.barriers, std::vector<std::size_t>{600});
+        // Every core dealt a chunk shows up in the stream.
+        const unsigned k = chunk ? chunk : EngineOptions{}.chunk_size;
+        std::set<unsigned> cores;
+        for (const auto &e : plain.events)
+            cores.insert(e.core);
+        EXPECT_EQ(cores.size(), std::min(16u, (300 + k - 1) / k));
+    }
+}
+
+TEST(Engine, PullPageRankMatchesFunctionalOnEveryMachine)
+{
+    // The pull gathers and apply run as the item hook, after the item's
+    // ops: the ranks must equal the machine-less run's bit for bit.
+    // Destinations stay within one edge task, so each one's additions
+    // happen in the same (edge) order on both paths.
+    for (const testing::FuzzSpec &spec :
+         {testing::FuzzSpec{testing::FuzzFamily::Rmat, 7, 256, 8, true},
+          testing::FuzzSpec{testing::FuzzFamily::RoadMesh, 11, 225, 4,
+                            true}}) {
+        const Graph g = spec.materialize();
+        for (VertexId v = 0; v < g.numVertices(); ++v)
+            ASSERT_LE(g.inDegree(v), EngineOptions{}.max_edges_per_task);
+        const PageRankResult func = runPageRankPull(g, nullptr, 3);
+        for (const std::string machine :
+             {"baseline", "grasp", "omega", "omega-sp-only"}) {
+            const MachineRegistryEntry &entry = machineEntry(machine);
+            auto m = entry.make(entry.make_params());
+            const PageRankResult sim = runPageRankPull(g, m.get(), 3);
+            EXPECT_GT(m->cycles(), 0u) << machine;
+            EXPECT_EQ(sim.iterations, func.iterations) << machine;
+            EXPECT_EQ(sim.rank, func.rank)
+                << machine << " / " << spec.describe();
+        }
+    }
 }
 
 } // namespace

@@ -16,8 +16,8 @@
  *     a run at an arbitrary iteration boundary (via the coordinator's
  *     test hook), then restoring the flushed checkpoint into a fresh
  *     machine and re-entering the loop, must reproduce the
- *     uninterrupted run's digest — cycles, the complete stat tree and
- *     the deterministic replay counters — bit for bit.
+ *     uninterrupted run's digest — cycles and the complete stat tree —
+ *     bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -222,6 +222,21 @@ TEST(SnapshotFile, VersionBumpIsVersionError)
     std::remove(path.c_str());
 }
 
+TEST(SnapshotFile, VersionOneFileIsVersionError)
+{
+    // Version 2 dropped the script-replay counters from machine sections
+    // and journal records; a version-1 file (same framing, old layout)
+    // is refused before any payload byte is decoded.
+    ASSERT_EQ(kSnapshotVersion, 2u);
+    const std::string path = writeSampleFile("version1.snap");
+    auto bytes = slurpBytes(path);
+    bytes[8] = 1; // version u32, little-endian, at bytes [8, 12)
+    bytes[9] = bytes[10] = bytes[11] = 0;
+    spewBytes(path, bytes);
+    EXPECT_THROW(readSnapshotFile(path), SnapshotVersionError);
+    std::remove(path.c_str());
+}
+
 TEST(SnapshotFile, TruncationIsTruncatedError)
 {
     const std::string path = writeSampleFile("truncated.snap");
@@ -294,9 +309,8 @@ fnv1a(const std::string &bytes)
     return h;
 }
 
-/** Digest of the run's full simulated outcome (same fields the
- *  sim-threads invariance tests pin: cycles, the complete stat tree,
- *  and the deterministic replay counters). */
+/** Digest of the run's full simulated outcome: cycles and the complete
+ *  stat tree. */
 std::uint64_t
 machineDigest(const MemorySystem &m)
 {
@@ -309,20 +323,15 @@ machineDigest(const MemorySystem &m)
         tree->writeJson(w);
         EXPECT_TRUE(w.complete());
     }
-    const ScriptReplayStats &rs = m.replayStats();
-    os << '|' << rs.epochs << '|' << rs.merged_items << '|'
-       << rs.merged_ops << '|' << rs.max_queue_depth << '|'
-       << rs.concurrent_hook_items;
     return fnv1a(os.str());
 }
 
 void
 runAlgo(AlgorithmKind algo, const Graph &g, MemorySystem *m,
-        CheckpointCoordinator *coord, unsigned sim_threads = 1)
+        CheckpointCoordinator *coord)
 {
     EngineOptions opts;
     opts.checkpoint = coord;
-    opts.sim_threads = sim_threads;
     if (algo == AlgorithmKind::PageRank) {
         // Multiple iterations so an interrupt can land strictly inside
         // the run (the registry dispatch simulates a single iteration).
@@ -347,8 +356,7 @@ makeMachine(const std::string &name)
  */
 std::uint64_t
 interruptAndResumeDigest(const Graph &g, const std::string &machine,
-                         AlgorithmKind algo, std::uint64_t stop,
-                         unsigned sim_threads = 1)
+                         AlgorithmKind algo, std::uint64_t stop)
 {
     const std::string path = ::testing::TempDir() + "resume_" + machine +
                              "_" + std::to_string(stop) + ".snap";
@@ -360,7 +368,7 @@ interruptAndResumeDigest(const Graph &g, const std::string &machine,
     coord.beginRun(key);
     {
         auto m = makeMachine(machine);
-        EXPECT_THROW(runAlgo(algo, g, m.get(), &coord, sim_threads),
+        EXPECT_THROW(runAlgo(algo, g, m.get(), &coord),
                      CheckpointInterrupt);
     }
 
@@ -370,7 +378,7 @@ interruptAndResumeDigest(const Graph &g, const std::string &machine,
     EXPECT_EQ(resume.resumeRunKey(), key);
     resume.beginRun(key);
     auto m = makeMachine(machine);
-    runAlgo(algo, g, m.get(), &resume, sim_threads);
+    runAlgo(algo, g, m.get(), &resume);
     EXPECT_FALSE(resume.resumePending()) << "resume never consumed";
     EXPECT_EQ(resume.restoredIteration(), stop);
     std::remove(path.c_str());
@@ -399,19 +407,31 @@ TEST(SnapshotResume, PageRankResumeMatchesUninterruptedOnEveryMachine)
 TEST(SnapshotResume, BfsResumeMatchesUninterruptedOnEveryMachine)
 {
     // BFS drives the buffered push path with atomics and a live
-    // frontier in the snapshot; the frontier itself round-trips.
-    const Graph g = FuzzSpec{FuzzFamily::RoadMesh, 11, 225, 4, true}
-                        .materialize();
-    for (const std::string &machine : kMachines) {
-        auto ref = makeMachine(machine);
-        runAlgo(AlgorithmKind::BFS, g, ref.get(), nullptr);
-        const std::uint64_t uninterrupted = machineDigest(*ref);
-        for (const std::uint64_t stop : {1u, 3u}) {
-            EXPECT_EQ(interruptAndResumeDigest(g, machine,
-                                               AlgorithmKind::BFS, stop),
-                      uninterrupted)
-                << machine << " diverged after resume from iteration "
-                << stop;
+    // frontier in the snapshot; the frontier itself round-trips. The
+    // mesh runs many short sparse rounds, the rMat graph switches
+    // between dense and sparse frontiers.
+    struct Case
+    {
+        FuzzSpec spec;
+        std::vector<std::uint64_t> stops;
+    };
+    const std::vector<Case> cases = {
+        {{FuzzFamily::RoadMesh, 11, 225, 4, true}, {1, 3}},
+        {{FuzzFamily::Rmat, 7, 256, 8, true}, {2}},
+    };
+    for (const Case &c : cases) {
+        const Graph g = c.spec.materialize();
+        for (const std::string &machine : kMachines) {
+            auto ref = makeMachine(machine);
+            runAlgo(AlgorithmKind::BFS, g, ref.get(), nullptr);
+            const std::uint64_t uninterrupted = machineDigest(*ref);
+            for (const std::uint64_t stop : c.stops) {
+                EXPECT_EQ(interruptAndResumeDigest(g, machine,
+                                                   AlgorithmKind::BFS, stop),
+                          uninterrupted)
+                    << machine << " / " << c.spec.describe()
+                    << " diverged after resume from iteration " << stop;
+            }
         }
     }
 }

@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "algorithms/algorithms.hh"
+#include "algorithms/pagerank.hh"
 #include "framework/engine.hh"
 #include "graph/builder.hh"
 #include "graph/generators.hh"
@@ -18,6 +19,7 @@
 #include "sim/baseline_machine.hh"
 #include "sim/cache.hh"
 #include "sim/coherence.hh"
+#include "sim/core_model.hh"
 #include "util/rng.hh"
 
 namespace {
@@ -171,5 +173,83 @@ BM_SimulatedPageRankIteration(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * g.numArcs());
 }
 BENCHMARK(BM_SimulatedPageRankIteration);
+
+void
+BM_CoreModelWindow(benchmark::State &state)
+{
+    // MLP-bound issue stream: mostly L1 hits with one DRAM-latency miss
+    // in three, so the 8-entry window fills and stalls on its oldest
+    // miss the way it does on graph kernels.
+    const MachineParams p = MachineParams::baseline();
+    CoreModel core(p);
+    Rng rng(9);
+    std::vector<Cycles> lats(4096);
+    for (Cycles &lat : lats) {
+        lat = rng.nextBounded(3) == 0 ? 100 + rng.nextBounded(120)
+                                      : p.l1d.latency;
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        core.compute(2);
+        core.issueMemory(lats[i++ & 4095], /*blocking=*/false);
+        benchmark::DoNotOptimize(core.now());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CoreModelWindow);
+
+/** 16-core stub machine: a compute op advances its core's clock. */
+class ClockStubMachine final : public MemorySystem
+{
+  public:
+    ClockStubMachine() : params_(MachineParams::baseline())
+    {
+        clocks_.assign(params_.num_cores, 0);
+    }
+
+    void configure(const MachineConfig &) override {}
+    void
+    replayOps(unsigned core, std::span<const EngineOp> ops) override
+    {
+        for (const EngineOp &op : ops)
+            clocks_[core] += op.kind == EngineOpKind::Compute ? op.arg : 0;
+    }
+    void barrier() override {}
+    void endIteration() override {}
+    Cycles coreNow(unsigned core) const override { return clocks_[core]; }
+    Cycles cycles() const override { return clocks_[0]; }
+    StatsReport report() const override { return {}; }
+    const MachineParams &params() const override { return params_; }
+    std::string name() const override { return "clock-stub"; }
+
+  private:
+    MachineParams params_;
+    std::vector<Cycles> clocks_;
+};
+
+void
+BM_ScriptedForPick(benchmark::State &state)
+{
+    // The engine's item loop alone: one compute op per item of a
+    // pseudo-random 1-8 cycles, so the lowest-clock pick moves between
+    // all 16 cores unpredictably.
+    constexpr std::uint64_t kItems = 1 << 14;
+    Graph g = buildGraph(4, EdgeList{{0, 1, 1}});
+    PropertyRegistry props(4);
+    ClockStubMachine mach;
+    Engine eng(g, props, pageRankUpdateFn(), &mach);
+    for (auto _ : state) {
+        eng.scriptedFor(
+            kItems,
+            [](Engine::ScriptBuilder &b, std::uint64_t idx) {
+                b.push(EngineOp::compute(
+                    1 + static_cast<std::uint32_t>(idx * 0x9E3779B1u >> 16 & 7)));
+            },
+            [](unsigned, std::uint64_t) {}, /*chunk=*/1);
+        benchmark::DoNotOptimize(mach.coreNow(0));
+    }
+    state.SetItemsProcessed(state.iterations() * kItems);
+}
+BENCHMARK(BM_ScriptedForPick);
 
 } // namespace

@@ -19,10 +19,10 @@ Engine::Engine(const Graph &g, PropertyRegistry &props, UpdateFn fn,
 {
     omega_assert(props_.numVertices() == g_.numVertices(),
                  "property registry size mismatch");
-    // CacheLine::sharers is a 16-bit mask, which also lets scriptedFor
-    // track the cores with work left in one word.
-    omega_assert(!mach_ || num_cores_ <= 16,
-                 "a machine has at most 16 cores");
+    // CacheLine::sharers is a 16-bit mask, and scriptedFor picks the
+    // next core from 16 packed (clock, id) keys.
+    omega_assert(!mach_ || num_cores_ <= kMaxCores,
+                 "a machine has at most ", kMaxCores, " cores");
 
     // Simulated layout of the edgeList region: out offsets then out arcs.
     edge_entry_bytes_ = opts_.weighted ? 8 : 4;

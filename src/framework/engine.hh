@@ -22,7 +22,7 @@
 #define OMEGA_FRAMEWORK_ENGINE_HH
 
 #include <algorithm>
-#include <bit>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -386,6 +386,10 @@ class Engine
     /** @} */
 
   private:
+    /** Most cores a machine may have: CacheLine::sharers is a 16-bit
+     *  mask, and scriptedFor's pick keys hold the core id in 4 bits. */
+    static constexpr unsigned kMaxCores = 16;
+
     /** One scheduled unit of edgeMap work: a slice of a vertex's edges. */
     struct EdgeTask
     {
@@ -470,9 +474,6 @@ class Engine
     std::vector<std::uint8_t> in_next_;
     std::vector<std::vector<VertexId>> per_core_sparse_;
 
-    /** Cached per-core clocks for the scriptedFor interleave scan. */
-    std::vector<Cycles> core_clocks_;
-
     /** Ops of the scriptedFor item being replayed. */
     OpArena item_ops_;
     /** Inline op buffer of the (impure) push-edgeMap path. */
@@ -515,31 +516,38 @@ Engine::scriptedFor(std::uint64_t total, GenF &&gen, HookF &&hook,
         return;
     }
     // Always advance the lowest-id core among those with the smallest
-    // local clock. coreNow() is a virtual call and an item only moves
-    // its own core's clock, so cache the clocks once and refresh just
-    // the worked core's entry per item.
-    core_clocks_.resize(num_cores_);
-    std::uint32_t alive = 0;
-    for (unsigned c = 0; c < num_cores_; ++c) {
-        core_clocks_[c] = mach_->coreNow(c);
-        if (sched.peek(c))
-            alive |= std::uint32_t{1} << c;
-    }
-    while (alive) {
-        // countr_zero walks set bits in index order, so ties resolve to
-        // the lowest core id.
-        std::uint32_t scan = alive;
-        unsigned best = static_cast<unsigned>(std::countr_zero(scan));
-        Cycles best_t = core_clocks_[best];
-        scan &= scan - 1;
-        while (scan) {
-            const unsigned c = static_cast<unsigned>(std::countr_zero(scan));
-            scan &= scan - 1;
-            if (core_clocks_[c] < best_t) {
-                best = c;
-                best_t = core_clocks_[c];
-            }
+    // local clock. Each core's pick key packs its clock above its id,
+    // (clock << 4) | core, so one unsigned min over all 16 slots gives
+    // the lowest clock with ties to the lowest id; a core with no items
+    // left (and every slot past num_cores_) holds ~0 and is never picked
+    // while a live core remains. The min is a fixed 15-compare tree with
+    // no data-dependent branch. coreNow() is a virtual call and an item
+    // only moves its own core's clock, so only the worked core's key is
+    // refreshed per item.
+    static_assert(kMaxCores == 16, "the pick key packs the id in 4 bits");
+    constexpr std::uint64_t kDone = ~std::uint64_t{0};
+    constexpr unsigned kSlots = kMaxCores;
+    const auto key = [this](unsigned c, bool alive) {
+        const Cycles t = mach_->coreNow(c);
+        omega_assert(t < (Cycles{1} << 60),
+                     "core clock overflows the scriptedFor pick key");
+        return alive ? (t << 4) | c : kDone;
+    };
+    std::array<std::uint64_t, kSlots> keys;
+    keys.fill(kDone);
+    for (unsigned c = 0; c < num_cores_; ++c)
+        keys[c] = key(c, sched.peek(c).has_value());
+    for (;;) {
+        std::uint64_t m[kSlots / 2];
+        for (unsigned i = 0; i < kSlots / 2; ++i)
+            m[i] = std::min(keys[i], keys[i + kSlots / 2]);
+        for (unsigned w = kSlots / 4; w != 0; w /= 2) {
+            for (unsigned i = 0; i < w; ++i)
+                m[i] = std::min(m[i], m[i + w]);
         }
+        if (m[0] == kDone)
+            break;
+        const unsigned best = static_cast<unsigned>(m[0] & (kSlots - 1));
         const std::uint64_t idx = *sched.next(best);
         item_ops_.clear();
         ScriptBuilder b(item_ops_);
@@ -551,9 +559,7 @@ Engine::scriptedFor(std::uint64_t total, GenF &&gen, HookF &&hook,
         hook(best, idx);
         if (ops.size() != at)
             mach_->replayOps(best, ops.subspan(at));
-        core_clocks_[best] = mach_->coreNow(best);
-        if (!sched.peek(best))
-            alive &= ~(std::uint32_t{1} << best);
+        keys[best] = key(best, sched.peek(best).has_value());
     }
     finishPhase();
 }

@@ -9,13 +9,14 @@ namespace omega {
 
 StaticScheduler::StaticScheduler(std::uint64_t total, unsigned num_cores,
                                  unsigned chunk)
-    : total_(total), num_cores_(num_cores), chunk_(chunk),
+    : total_(total), chunk_(chunk),
+      hop_(static_cast<std::uint64_t>(num_cores - 1) * chunk),
       cursor_(num_cores), remaining_(total)
 {
-    omega_assert(num_cores_ > 0 && chunk_ > 0, "bad scheduler parameters");
+    omega_assert(num_cores > 0 && chunk_ > 0, "bad scheduler parameters");
     // Core c starts at the beginning of chunk c.
-    for (unsigned c = 0; c < num_cores_; ++c)
-        cursor_[c] = static_cast<std::uint64_t>(c) * chunk_;
+    for (unsigned c = 0; c < num_cores; ++c)
+        cursor_[c] = {static_cast<std::uint64_t>(c) * chunk_, chunk_};
 }
 
 } // namespace omega

@@ -37,18 +37,16 @@ class StaticScheduler
     std::optional<std::uint64_t>
     next(unsigned core)
     {
-        const std::uint64_t pos = cursor_[core];
+        Cursor &cur = cursor_[core];
+        const std::uint64_t pos = cur.pos;
         if (pos >= total_)
             return std::nullopt;
-        // Advance within the chunk; hop to this core's next chunk at the
-        // end.
-        const std::uint64_t chunk_off = pos % chunk_;
-        if (chunk_off + 1 < chunk_) {
-            cursor_[core] = pos + 1;
-        } else {
-            cursor_[core] =
-                pos + 1 + static_cast<std::uint64_t>(num_cores_ - 1) * chunk_;
-        }
+        // Advance within the chunk; hop over the other cores' chunks to
+        // this core's next one when the current chunk runs out. Counting
+        // the chunk down replaces a per-item 64-bit `pos % chunk`.
+        const bool last = --cur.chunk_left == 0;
+        cur.pos = pos + 1 + (last ? hop_ : 0);
+        cur.chunk_left = last ? chunk_ : cur.chunk_left;
         --remaining_;
         return pos;
     }
@@ -57,7 +55,7 @@ class StaticScheduler
     std::optional<std::uint64_t>
     peek(unsigned core) const
     {
-        const std::uint64_t pos = cursor_[core];
+        const std::uint64_t pos = cursor_[core].pos;
         if (pos >= total_)
             return std::nullopt;
         return pos;
@@ -69,11 +67,20 @@ class StaticScheduler
     std::uint64_t remaining() const { return remaining_; }
 
   private:
+    struct Cursor
+    {
+        /** Next item index (absolute item id). */
+        std::uint64_t pos;
+        /** Items left in the current chunk, counting pos; never 0. */
+        unsigned chunk_left;
+    };
+
     std::uint64_t total_;
-    unsigned num_cores_;
     unsigned chunk_;
-    /** Next item index per core (encoded as absolute item id). */
-    std::vector<std::uint64_t> cursor_;
+    /** Distance from a chunk's last item to the core's next chunk, less
+     *  one: the other cores' chunks, (num_cores - 1) * chunk. */
+    std::uint64_t hop_;
+    std::vector<Cursor> cursor_;
     std::uint64_t remaining_;
 };
 

@@ -32,11 +32,16 @@ stallEventName(StallKind kind)
 CoreModel::CoreModel(const MachineParams &params)
     : issue_width_(params.issue_width), mshrs_(params.mshrs)
 {
+    // A zero-MSHR window would stall the first non-blocking issue to the
+    // kNoMiss sentinel, and a zero issue width divides by zero.
+    omega_assert(mshrs_ >= 1 && mshrs_ <= kMaxMshrs,
+                 "core MSHR count must be in [1, ", kMaxMshrs, "], got ",
+                 mshrs_);
+    omega_assert(issue_width_ >= 1, "core issue width must be at least 1");
     if (std::has_single_bit(static_cast<std::uint64_t>(issue_width_))) {
         issue_shift_ = static_cast<std::uint8_t>(
             std::countr_zero(static_cast<std::uint64_t>(issue_width_)));
     }
-    inflight_.reserve(mshrs_);
 }
 
 void
@@ -72,20 +77,24 @@ CoreModel::stallForOldest(StallKind kind)
 {
     // Window full: wait for the oldest outstanding miss (tracked
     // incrementally at push time), then drop every completion the stall
-    // covered (there may be several at equal times) in one compacting
-    // pass that also recomputes the tracked minimum.
+    // covered (there may be several at equal times) in one stable
+    // compacting pass that also recomputes the tracked minimum. The pass
+    // is branch-free — every entry is written to the live cursor, which
+    // advances only past entries still in flight — because whether a
+    // given miss has completed is data-dependent and mispredicts often.
     stallUntil(oldest_inflight_, kind);
-    std::size_t live = 0;
-    Cycles oldest = std::numeric_limits<Cycles>::max();
-    for (const Cycles t : inflight_) {
-        if (t > clock_) {
-            inflight_[live++] = t;
-            oldest = std::min(oldest, t);
-        }
+    unsigned live = 0;
+    Cycles oldest = kNoMiss;
+    for (unsigned i = 0; i < inflight_count_; ++i) {
+        const Cycles t = inflight_[i];
+        const bool pending = t > clock_;
+        inflight_[live] = t;
+        live += pending;
+        oldest = std::min(oldest, pending ? t : kNoMiss);
     }
-    inflight_.resize(live);
+    inflight_count_ = live;
     oldest_inflight_ = oldest;
-    omega_check(inflight_.size() < mshrs_,
+    omega_check(inflight_count_ < mshrs_,
                 "overlap window still full after stalling for the "
                 "oldest miss");
 }
@@ -101,18 +110,19 @@ CoreModel::drain()
 {
     // Stall through completions oldest-first so the trace shows the same
     // stall segments the ordered queue produced.
-    std::sort(inflight_.begin(), inflight_.end());
-    for (const Cycles t : inflight_)
-        stallUntil(t, StallKind::Memory);
-    inflight_.clear();
-    oldest_inflight_ = std::numeric_limits<Cycles>::max();
+    Cycles *const end = inflight_ + inflight_count_;
+    std::sort(inflight_, end);
+    for (const Cycles *t = inflight_; t != end; ++t)
+        stallUntil(*t, StallKind::Memory);
+    inflight_count_ = 0;
+    oldest_inflight_ = kNoMiss;
 }
 
 void
 CoreModel::syncTo(Cycles t)
 {
     drain();
-    omega_check(inflight_.empty(),
+    omega_check(inflight_count_ == 0,
                 "outstanding misses survived the pre-barrier drain");
     stallUntil(t, StallKind::Sync);
     omega_check(clock_ >= t, "core clock behind the barrier time");
@@ -138,7 +148,10 @@ CoreModel::save(SnapshotWriter &w) const
 {
     w.putU64(clock_);
     w.putU64(op_residue_);
-    w.putU64Vector(inflight_);
+    // The layout of putU64Vector: a count, then the live slots in order.
+    w.putU64(inflight_count_);
+    for (unsigned i = 0; i < inflight_count_; ++i)
+        w.putU64(inflight_[i]);
     w.putU64(oldest_inflight_);
     w.putU64(instructions_);
     w.putU64(compute_cycles_);
@@ -152,13 +165,17 @@ CoreModel::restore(SnapshotReader &r)
 {
     clock_ = r.getU64();
     op_residue_ = r.getU64();
-    inflight_ = r.getU64Vector();
-    if (inflight_.size() > mshrs_) {
+    // Check the count before reading a slot: the window is a fixed
+    // array sized for the MSHR count, not for the snapshot.
+    const std::uint64_t n = r.getU64();
+    if (n > mshrs_) {
         throw SnapshotStateError(
-            "snapshot: core MSHR window holds " +
-            std::to_string(inflight_.size()) + " entries, machine has " +
-            std::to_string(mshrs_) + " MSHRs");
+            "snapshot: core MSHR window holds " + std::to_string(n) +
+            " entries, machine has " + std::to_string(mshrs_) + " MSHRs");
     }
+    inflight_count_ = static_cast<unsigned>(n);
+    for (unsigned i = 0; i < inflight_count_; ++i)
+        inflight_[i] = r.getU64();
     oldest_inflight_ = r.getU64();
     instructions_ = r.getU64();
     compute_cycles_ = r.getU64();
@@ -172,8 +189,8 @@ CoreModel::reset()
 {
     clock_ = 0;
     op_residue_ = 0;
-    inflight_.clear();
-    oldest_inflight_ = std::numeric_limits<Cycles>::max();
+    inflight_count_ = 0;
+    oldest_inflight_ = kNoMiss;
     instructions_ = 0;
     compute_cycles_ = 0;
     mem_stall_cycles_ = 0;

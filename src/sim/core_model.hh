@@ -15,9 +15,9 @@
 #ifndef OMEGA_SIM_CORE_MODEL_HH
 #define OMEGA_SIM_CORE_MODEL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 #include "sim/params.hh"
 #include "sim/snapshot.hh"
@@ -34,6 +34,12 @@ enum class StallKind : std::uint8_t { Memory, Atomic, Sync };
 class CoreModel
 {
   public:
+    /** Capacity of the inline MSHR window; params.mshrs may not exceed
+     *  it. */
+    static constexpr unsigned kMaxMshrs = 16;
+
+    /** Panics unless 1 <= params.mshrs <= kMaxMshrs and
+     *  params.issue_width >= 1. */
     explicit CoreModel(const MachineParams &params);
 
     /** Current local time. */
@@ -77,7 +83,7 @@ class CoreModel
     void
     prepareIssue(StallKind kind = StallKind::Memory)
     {
-        if (inflight_.size() < mshrs_)
+        if (inflight_count_ < mshrs_)
             return; // free slot: the dominant case
         stallForOldest(kind);
     }
@@ -98,12 +104,7 @@ class CoreModel
             return;
         }
         prepareIssue(kind);
-        if (latency > 1) {
-            const Cycles t = clock_ + latency;
-            inflight_.push_back(t);
-            if (t < oldest_inflight_)
-                oldest_inflight_ = t;
-        }
+        issueMemoryPrepared(latency);
     }
 
     /**
@@ -116,12 +117,15 @@ class CoreModel
     void
     issueMemoryPrepared(Cycles latency)
     {
-        if (latency > 1) {
-            const Cycles t = clock_ + latency;
-            inflight_.push_back(t);
-            if (t < oldest_inflight_)
-                oldest_inflight_ = t;
-        }
+        // Branch-free push: the free slot is always written, and only a
+        // miss (latency > 1) claims it and can lower the tracked minimum.
+        omega_check(inflight_count_ < mshrs_,
+                    "push into a full overlap window");
+        const Cycles t = clock_ + latency;
+        const bool miss = latency > 1;
+        inflight_[inflight_count_] = t;
+        inflight_count_ += miss;
+        oldest_inflight_ = std::min(oldest_inflight_, miss ? t : kNoMiss);
     }
 
     /** Charge a fixed pipeline-hold cost (atomic serialization). */
@@ -159,9 +163,11 @@ class CoreModel
 
     /**
      * @name Snapshot support.
-     * Every mutable word, including the MSHR window's completion times in
-     * their exact (unordered) vector order — future window compactions
-     * scan that order, so it must survive a round trip verbatim.
+     * Every mutable word, including the MSHR window's live completion
+     * times in their exact (unordered) slot order, saved as a u64
+     * vector — future window compactions scan that order, so it must
+     * survive a round trip verbatim. restore() throws SnapshotStateError
+     * for a window longer than the MSHR count before it writes a slot.
      * Configuration (issue width, MSHR count) is constructor state and is
      * not serialized.
      * @{
@@ -194,15 +200,20 @@ class CoreModel
     Cycles clock_ = 0;
     /** Fractional instruction residue (sub-cycle issue accounting). */
     std::uint64_t op_residue_ = 0;
+    /** Sentinel completion time: no outstanding miss. */
+    static constexpr Cycles kNoMiss = std::numeric_limits<Cycles>::max();
     /**
-     * Completion times of outstanding misses, unordered. Bounded by
-     * mshrs_ (single digits), so linear min scans beat a binary heap and
-     * push stays allocation-free after the reserve in the constructor.
+     * Completion times of outstanding misses in slots
+     * [0, inflight_count_), unordered. Bounded by mshrs_ (single
+     * digits), so linear scans beat a heap; a fixed inline array keeps
+     * every push and compaction free of allocation and size checks.
      */
-    std::vector<Cycles> inflight_;
-    /** min(inflight_), or the sentinel max when empty — kept in step by
-     *  every push/compaction so a full window stalls without a scan. */
-    Cycles oldest_inflight_ = std::numeric_limits<Cycles>::max();
+    Cycles inflight_[kMaxMshrs] = {};
+    unsigned inflight_count_ = 0;
+    /** Minimum of the live slots, or kNoMiss when empty — kept in step
+     *  by every push/compaction so a full window stalls without a
+     *  scan. */
+    Cycles oldest_inflight_ = kNoMiss;
     std::uint64_t instructions_ = 0;
     std::uint64_t compute_cycles_ = 0;
     std::uint64_t mem_stall_cycles_ = 0;

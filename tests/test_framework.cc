@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <tuple>
+#include <utility>
 
 #include "algorithms/bfs.hh"
 #include "algorithms/pagerank.hh"
@@ -150,6 +152,63 @@ TEST(Scheduler, RemainingCountsDown)
     EXPECT_EQ(sched.remaining(), 5u);
     sched.next(0);
     EXPECT_EQ(sched.remaining(), 4u);
+}
+
+/** The static schedule as first written: a cursor per core that finds
+ *  its chunk boundary with `pos % chunk`. */
+class ModuloScheduler
+{
+  public:
+    ModuloScheduler(std::uint64_t total, unsigned cores, unsigned chunk)
+        : total_(total), cores_(cores), chunk_(chunk), cursor_(cores)
+    {
+        for (unsigned c = 0; c < cores; ++c)
+            cursor_[c] = std::uint64_t{c} * chunk;
+    }
+
+    std::optional<std::uint64_t>
+    next(unsigned core)
+    {
+        const std::uint64_t pos = cursor_[core];
+        if (pos >= total_)
+            return std::nullopt;
+        if (pos % chunk_ + 1 < chunk_)
+            cursor_[core] = pos + 1;
+        else
+            cursor_[core] = pos + 1 + std::uint64_t{cores_ - 1} * chunk_;
+        return pos;
+    }
+
+  private:
+    std::uint64_t total_;
+    unsigned cores_;
+    unsigned chunk_;
+    std::vector<std::uint64_t> cursor_;
+};
+
+TEST(Scheduler, NextMatchesModuloFormula)
+{
+    Rng rng(77);
+    for (int trial = 0; trial < 200; ++trial) {
+        const std::uint64_t total = rng.nextBounded(3000);
+        const unsigned cores = 1 + static_cast<unsigned>(rng.nextBounded(16));
+        const unsigned chunk = 1 + static_cast<unsigned>(rng.nextBounded(70));
+        StaticScheduler sched(total, cores, chunk);
+        ModuloScheduler ref(total, cores, chunk);
+        std::uint64_t handed = 0;
+        // Random core order, including calls on exhausted cores.
+        while (handed < total) {
+            const unsigned c = static_cast<unsigned>(rng.nextBounded(cores));
+            const auto want = ref.next(c);
+            ASSERT_EQ(sched.peek(c), want);
+            ASSERT_EQ(sched.next(c), want)
+                << "total " << total << " cores " << cores << " chunk "
+                << chunk;
+            handed += want.has_value();
+            ASSERT_EQ(sched.remaining(), total - handed);
+        }
+        EXPECT_TRUE(sched.done());
+    }
 }
 
 // --- Engine tests -----------------------------------------------------
@@ -427,7 +486,8 @@ TEST(Engine, IterationCounterAdvances)
  * Machine stub that records every op it is handed, tagged with its core
  * and the replayOps() call that carried it. Each core's clock advances
  * by one per access and by the instruction-equivalents of a compute, so
- * the engine's lowest-clock pick really interleaves the cores.
+ * the engine's lowest-clock pick really interleaves the cores. The core
+ * count and the start clocks (default all 0) are configurable.
  */
 class RecordingMachine final : public MemorySystem
 {
@@ -439,9 +499,12 @@ class RecordingMachine final : public MemorySystem
         EngineOp op;
     };
 
-    RecordingMachine()
-        : params_(MachineParams::baseline()), clocks_(params_.num_cores, 0)
+    explicit RecordingMachine(unsigned cores = 16,
+                              std::vector<Cycles> start = {})
+        : params_(MachineParams::baseline()), clocks_(std::move(start))
     {
+        params_.num_cores = cores;
+        clocks_.resize(cores, 0);
     }
 
     void configure(const MachineConfig &) override {}
@@ -588,6 +651,65 @@ TEST(Engine, ParallelForIsScriptedForWithEmptyGenerator)
         for (const auto &e : plain.events)
             cores.insert(e.core);
         EXPECT_EQ(cores.size(), std::min(16u, (300 + k - 1) / k));
+    }
+}
+
+TEST(Engine, ScriptedForPicksLowestClockThenLowestId)
+{
+    // Item costs of 0-2 cycles and start clocks from a 3-value set make
+    // clock ties the common case; the shares are uneven (total is not a
+    // multiple of chunk x cores). The engine's (core, item) sequence must
+    // equal a plain scan for the lowest clock, lowest id first.
+    const auto cost = [](std::uint64_t idx) {
+        return static_cast<std::uint32_t>((idx * 0x9E3779B1u >> 7) % 3);
+    };
+    Graph g = chainGraph(4);
+    PropertyRegistry props(4);
+    for (const unsigned cores : {16u, 5u}) {
+        for (const unsigned chunk : {1u, 3u, 64u}) {
+            for (const Cycles base : {Cycles{0}, Cycles{1} << 58}) {
+                const std::uint64_t total = 7ull * chunk * cores + 5;
+                std::vector<Cycles> start(cores);
+                for (unsigned c = 0; c < cores; ++c)
+                    start[c] = base + c * 7 % 3;
+
+                RecordingMachine mach(cores, start);
+                Engine eng(g, props, pageRankUpdateFn(), &mach);
+                std::vector<std::pair<unsigned, std::uint64_t>> got;
+                eng.scriptedFor(
+                    total,
+                    [&](Engine::ScriptBuilder &b, std::uint64_t idx) {
+                        b.push(EngineOp::compute(cost(idx)));
+                    },
+                    [&](unsigned core, std::uint64_t idx) {
+                        got.emplace_back(core, idx);
+                    },
+                    chunk);
+
+                std::vector<std::pair<unsigned, std::uint64_t>> want;
+                ModuloScheduler ref(total, cores, chunk);
+                std::vector<Cycles> clk = start;
+                std::vector<std::optional<std::uint64_t>> head(cores);
+                for (unsigned c = 0; c < cores; ++c)
+                    head[c] = ref.next(c);
+                for (;;) {
+                    int best = -1;
+                    for (unsigned c = 0; c < cores; ++c) {
+                        if (head[c] && (best < 0 || clk[c] < clk[best]))
+                            best = static_cast<int>(c);
+                    }
+                    if (best < 0)
+                        break;
+                    const std::uint64_t idx = *head[best];
+                    want.emplace_back(best, idx);
+                    clk[best] += cost(idx);
+                    head[best] = ref.next(best);
+                }
+                ASSERT_EQ(want.size(), total);
+                ASSERT_EQ(got, want) << cores << " cores, chunk " << chunk
+                                     << ", base " << base;
+            }
+        }
     }
 }
 

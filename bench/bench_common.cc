@@ -20,6 +20,7 @@
 #include <sstream>
 
 #include "graph/reorder.hh"
+#include "sim/field_visitor.hh"
 #include "sim/machine_registry.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -321,7 +322,7 @@ executeRun(const DatasetSpec &spec, AlgorithmKind algo, MachineKind kind,
                 w.putU64(1);
                 w.putString("machine");
                 const std::size_t blob = w.beginBlob();
-                m->saveState(w);
+                saveFields(w, *m);
                 w.endBlob(blob);
                 writeSnapshotFile(pm_path, w.bytes());
                 report += "\npost-mortem snapshot: " + pm_path;

@@ -6,6 +6,7 @@
 #include "framework/engine.hh"
 
 #include "sim/checkpoint.hh"
+#include "sim/field_visitor.hh"
 #include "translate/codegen.hh"
 #include "util/logging.hh"
 #include "util/trace.hh"
@@ -66,8 +67,8 @@ Engine::Engine(const Graph &g, PropertyRegistry &props, UpdateFn fn,
         if (mach_) {
             opts_.checkpoint->registerSection(
                 "machine",
-                [this](SnapshotWriter &w) { mach_->saveState(w); },
-                [this](SnapshotReader &r) { mach_->restoreState(r); });
+                [this](SnapshotWriter &w) { saveFields(w, *mach_); },
+                [this](SnapshotReader &r) { restoreFields(r, *mach_); });
         }
     }
 }

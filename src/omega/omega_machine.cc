@@ -36,48 +36,47 @@ OmegaMachine::OmegaMachine(const MachineParams &params)
                                   params.sp_latency);
         piscs_.emplace_back();
     }
-    buildStatTree();
+    registerStats(stats_root_, *this);
 }
 
 void
-OmegaMachine::buildStatTree()
+OmegaMachine::visit(FieldVisitor &v)
 {
-    // Component vectors are fully constructed by now; the groups hold raw
-    // pointers into them, so this must be the constructor's last act.
-    stats_root_.addScalar("cycles", &global_cycles_,
-                          "global completed time");
-    stats_root_.addScalar("atomics_total", &atomics_total_,
-                          "atomic vtxProp updates issued");
-    stats_root_.addScalar("atomics_offloaded", &atomics_offloaded_,
-                          "atomics offloaded to PISCs");
-    stats_root_.addScalar("atomics_on_core", &atomics_on_core_,
-                          "atomics executed on the cores");
-    stats_root_.addScalar("sp_local", &sp_local_,
-                          "local scratchpad accesses");
-    stats_root_.addScalar("sp_remote", &sp_remote_,
-                          "remote scratchpad accesses");
-    stats_root_.addScalar("vtxprop_accesses", &vtxprop_accesses_,
-                          "vtxProp touches");
-    stats_root_.addScalar("vtxprop_hot_accesses", &vtxprop_hot_accesses_,
-                          "vtxProp touches on hot vertices");
-    hierarchy_.addStats(cache_group_);
-    stats_root_.addChild(&cache_group_);
-    controller_.addStats(controller_group_);
-    stats_root_.addChild(&controller_group_);
-    component_groups_.reserve(4 * tiles_.size());
-    const auto attach = [this](const std::string &name) -> StatGroup & {
-        component_groups_.push_back(std::make_unique<StatGroup>(name));
-        stats_root_.addChild(component_groups_.back().get());
-        return *component_groups_.back();
-    };
+    v.counter("cycles", global_cycles_, "global completed time");
+    v.state(iteration_);
+    v.state(last_barrier_cycles_);
+    v.counter("atomics_total", atomics_total_,
+              "atomic vtxProp updates issued");
+    v.counter("atomics_offloaded", atomics_offloaded_,
+              "atomics offloaded to PISCs");
+    v.counter("atomics_on_core", atomics_on_core_,
+              "atomics executed on the cores");
+    v.counter("sp_local", sp_local_, "local scratchpad accesses");
+    v.counter("sp_remote", sp_remote_, "remote scratchpad accesses");
+    v.counter("vtxprop_accesses", vtxprop_accesses_, "vtxProp touches");
+    v.counter("vtxprop_hot_accesses", vtxprop_hot_accesses_,
+              "vtxProp touches on hot vertices");
+    v.group("cache", hierarchy_);
+    v.group("controller", controller_);
+    // One tile, scratchpad and PISC per core (constructor).
+    v.config("tiles", tiles_.size());
     for (std::size_t c = 0; c < tiles_.size(); ++c)
-        tiles_[c].core.addStats(attach("core" + std::to_string(c)));
+        v.group("core" + std::to_string(c), tiles_[c]);
     for (std::size_t c = 0; c < scratchpads_.size(); ++c)
-        scratchpads_[c].addStats(attach("sp" + std::to_string(c)));
+        v.group("sp" + std::to_string(c), scratchpads_[c]);
     for (std::size_t c = 0; c < piscs_.size(); ++c)
-        piscs_[c].addStats(attach("pisc" + std::to_string(c)));
+        v.group("pisc" + std::to_string(c), piscs_[c]);
     for (std::size_t c = 0; c < tiles_.size(); ++c)
-        tiles_[c].svb.addStats(attach("svb" + std::to_string(c)));
+        v.group("svb" + std::to_string(c), tiles_[c].svb);
+    visitFaults(v);
+}
+
+void
+OmegaMachine::visitFaults(FieldVisitor &v)
+{
+    v.config("fault campaign armed", injector_ != nullptr);
+    if (injector_ != nullptr)
+        v.group("faults", *injector_);
 }
 
 void
@@ -103,19 +102,6 @@ OmegaMachine::attachTracing()
     s->nameThread(trace::kEngineTid, "engine");
 }
 
-std::vector<CoreIntervalStats>
-OmegaMachine::coreIntervals() const
-{
-    std::vector<CoreIntervalStats> out;
-    out.reserve(tiles_.size());
-    for (const auto &tile : tiles_) {
-        const CoreModel &core = tile.core;
-        out.push_back({core.computeCycles(), core.memStallCycles(),
-                       core.atomicStallCycles(), core.syncStallCycles()});
-    }
-    return out;
-}
-
 void
 OmegaMachine::takeSample(SampleKind kind)
 {
@@ -128,7 +114,7 @@ OmegaMachine::takeSample(SampleKind kind)
     for (const auto &sp : scratchpads_)
         sp_accesses.push_back(sp.accesses());
     recorder_->take(kind, global_cycles_, iteration_, report(),
-                    coreIntervals(), std::move(pisc_busy),
+                    coreIntervals(tiles_), std::move(pisc_busy),
                     std::move(sp_accesses));
 }
 
@@ -175,9 +161,8 @@ OmegaMachine::armFaults(const FaultPlan &plan)
         injector_ = std::make_unique<FaultInjector>(plan);
         // Lazy stat registration: the "faults" group only exists on armed
         // runs, so the unarmed stat tree stays byte-identical.
-        fault_group_ = std::make_unique<StatGroup>("faults");
-        injector_->addStats(*fault_group_);
-        stats_root_.addChild(fault_group_.get());
+        StatRegistrar registrar(stats_root_);
+        visitFaults(registrar);
     } else {
         // Re-arm in place: the stat group holds pointers into the
         // injector's counters, so the object's address must not change.
@@ -206,12 +191,10 @@ OmegaMachine::armProfile()
         // Lazy stat registration, like armFaults(): the "profile" group
         // only exists on armed runs, so the unarmed stat tree — and the
         // pinned golden digests over it — stays byte-identical.
-        profile_group_ = std::make_unique<StatGroup>("profile");
         profiler_->attachDramChannels(
             &hierarchy_.dram().channelBusyCycles(),
             &hierarchy_.dram().channelRequests());
-        profiler_->addStats(*profile_group_);
-        stats_root_.addChild(profile_group_.get());
+        profiler_->addStats(stats_root_.addGroup("profile"));
     } else {
         // Re-arm in place: the stat group holds pointers into the
         // profiler's counters, so the object's address must not change.
@@ -679,86 +662,6 @@ OmegaMachine::watchdogReport(const std::string &reason, Cycles now) const
        << now << "]\n"
        << debugDump();
     return os.str();
-}
-
-void
-OmegaMachine::saveState(SnapshotWriter &w) const
-{
-    w.putU64(global_cycles_);
-    w.putU64(iteration_);
-    w.putU64(last_barrier_cycles_);
-    w.putU64(atomics_total_);
-    w.putU64(atomics_offloaded_);
-    w.putU64(atomics_on_core_);
-    w.putU64(sp_local_);
-    w.putU64(sp_remote_);
-    w.putU64(vtxprop_accesses_);
-    w.putU64(vtxprop_hot_accesses_);
-    w.putU64(tiles_.size());
-    for (const OmegaCoreTile &tile : tiles_) {
-        tile.core.save(w);
-        w.putU64(tile.sparse_appends);
-        tile.svb.save(w);
-    }
-    hierarchy_.save(w);
-    w.putU64(scratchpads_.size());
-    for (const Scratchpad &sp : scratchpads_)
-        sp.save(w);
-    for (const Pisc &pisc : piscs_)
-        pisc.save(w);
-    controller_.save(w);
-    w.putBool(injector_ != nullptr);
-    if (injector_ != nullptr)
-        injector_->save(w);
-}
-
-void
-OmegaMachine::restoreState(SnapshotReader &r)
-{
-    global_cycles_ = r.getU64();
-    iteration_ = r.getU64();
-    last_barrier_cycles_ = r.getU64();
-    atomics_total_ = r.getU64();
-    atomics_offloaded_ = r.getU64();
-    atomics_on_core_ = r.getU64();
-    sp_local_ = r.getU64();
-    sp_remote_ = r.getU64();
-    vtxprop_accesses_ = r.getU64();
-    vtxprop_hot_accesses_ = r.getU64();
-    const std::uint64_t tiles = r.getU64();
-    if (tiles != tiles_.size()) {
-        throw SnapshotStateError(
-            "snapshot: machine has " + std::to_string(tiles) +
-            " tiles, this machine has " + std::to_string(tiles_.size()));
-    }
-    for (OmegaCoreTile &tile : tiles_) {
-        tile.core.restore(r);
-        tile.sparse_appends = r.getU64();
-        tile.svb.restore(r);
-    }
-    hierarchy_.restore(r);
-    const std::uint64_t sps = r.getU64();
-    if (sps != scratchpads_.size()) {
-        throw SnapshotStateError(
-            "snapshot: machine has " + std::to_string(sps) +
-            " scratchpads, this machine has " +
-            std::to_string(scratchpads_.size()));
-    }
-    for (Scratchpad &sp : scratchpads_)
-        sp.restore(r);
-    for (Pisc &pisc : piscs_)
-        pisc.restore(r);
-    controller_.restore(r);
-    const bool armed = r.getBool();
-    if (armed != (injector_ != nullptr)) {
-        throw SnapshotStateError(
-            armed ? "snapshot: fault campaign armed in the snapshot but "
-                    "not on this machine"
-                  : "snapshot: no fault campaign in the snapshot but one "
-                    "is armed on this machine");
-    }
-    if (injector_ != nullptr)
-        injector_->restore(r);
 }
 
 std::string

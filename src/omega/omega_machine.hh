@@ -124,16 +124,13 @@ class OmegaMachine : public MemorySystem
     AccessProfiler *profiler() override { return profiler_.get(); }
 
     /**
-     * @name Checkpoint/restore.
-     * Tiles (core + SVB), the spine (hierarchy, scratchpads, PISCs,
-     * controller), machine clocks/counters and any armed injector.
-     * Configuration (monitor registers, microcode, residency) is
-     * re-derived by configure() before restore.
-     * @{
+     * Machine clocks/counters, the spine ("cache", "controller"), the
+     * tiles ("coreN", "svbN"), scratchpads ("spN"), PISCs ("piscN") and
+     * any armed injector ("faults"), in stat-tree order. Configuration
+     * (monitor registers, microcode, residency) is re-derived by
+     * configure() before restore.
      */
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
-    /** @} */
+    void visit(FieldVisitor &v) override;
 
   private:
     /** @name Event handlers (replayOps) @{ */
@@ -148,8 +145,8 @@ class OmegaMachine : public MemorySystem
     void atomicUpdate(const AtomicRequest &request);
     /** @} */
     void countVertexAccess(VertexId vertex);
-    void buildStatTree();
-    std::vector<CoreIntervalStats> coreIntervals() const;
+    /** The armed flag (config) and, when armed, the injector. */
+    void visitFaults(FieldVisitor &v);
     void takeSample(SampleKind kind);
     /**
      * Scratchpad word access from @p core; returns core-visible latency.
@@ -204,16 +201,15 @@ class OmegaMachine : public MemorySystem
     std::uint64_t iteration_ = 0;
     int trace_pid_ = 0;
 
-    /** Armed fault campaign (null on the fault-free fast path). */
+    /** Armed fault campaign (null on the fault-free fast path). Its
+     *  "faults" stat group is attached lazily — only armed runs report
+     *  it, keeping the unarmed stat tree (and the golden digest)
+     *  unchanged. */
     std::unique_ptr<FaultInjector> injector_;
-    /** Lazily attached "faults" stat group — only armed runs report it,
-     *  keeping the unarmed stat tree (and the golden digest) unchanged. */
-    std::unique_ptr<StatGroup> fault_group_;
 
     /** Armed access profiler + its lazily attached "profile" group
      *  (same arming pattern as the fault campaign). */
     std::unique_ptr<AccessProfiler> profiler_;
-    std::unique_ptr<StatGroup> profile_group_;
     /** Effective forward-progress budget; 0 disables the watchdog. */
     Cycles watchdog_cycles_ = 0;
     Cycles last_barrier_cycles_ = 0;
@@ -226,12 +222,9 @@ class OmegaMachine : public MemorySystem
     std::uint64_t vtxprop_accesses_ = 0;
     std::uint64_t vtxprop_hot_accesses_ = 0;
 
-    /** Stat tree: root -> {machine counters, cache.*, coreN.*, spN.*,
-     *  piscN.*, svbN.*, controller.*}. */
+    /** Stat tree: root -> {machine counters, cache.*, controller.*,
+     *  coreN.*, spN.*, piscN.*, svbN.*}. */
     StatGroup stats_root_{"omega"};
-    StatGroup cache_group_{"cache"};
-    StatGroup controller_group_{"controller"};
-    std::vector<std::unique_ptr<StatGroup>> component_groups_;
 };
 
 } // namespace omega

@@ -9,7 +9,6 @@
 
 #include "sim/fault.hh"
 #include "util/check.hh"
-#include "util/stats.hh"
 
 namespace omega {
 
@@ -60,13 +59,15 @@ Pisc::extendBusy(Cycles extra)
 }
 
 void
-Pisc::addStats(StatGroup &group) const
+Pisc::visit(FieldVisitor &v)
 {
-    group.addScalar("ops", &ops_, "offloaded atomics executed");
-    group.addScalar("busy_cycles", &busy_cycles_,
-                    "cycles the sequencer was occupied");
-    group.addScalar("queue_cycles", &queue_cycles_,
-                    "cycles offloads waited behind the engine");
+    v.state(busy_until_);
+    v.state(last_completion_);
+    v.counter("ops", ops_, "offloaded atomics executed");
+    v.counter("busy_cycles", busy_cycles_,
+              "cycles the sequencer was occupied");
+    v.counter("queue_cycles", queue_cycles_,
+              "cycles offloads waited behind the engine");
 }
 
 void

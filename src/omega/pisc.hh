@@ -19,13 +19,12 @@
 #include <cstdint>
 
 #include "graph/types.hh"
+#include "sim/field_visitor.hh"
 #include "sim/params.hh"
-#include "sim/snapshot.hh"
 
 namespace omega {
 
 class FaultInjector;
-class StatGroup;
 
 /** ALU operation classes supported by a PISC (paper Fig 9 / Table II). */
 enum class PiscAluOp : std::uint8_t
@@ -78,9 +77,6 @@ class Pisc
     std::uint64_t busyCycles() const { return busy_cycles_; }
     std::uint64_t queueCycles() const { return queue_cycles_; }
 
-    /** Register engine counters in @p group. */
-    void addStats(StatGroup &group) const;
-
     /** Arm (or disarm with nullptr) NACK injection on this engine. */
     void setFaultInjector(FaultInjector *injector, unsigned engine_id)
     {
@@ -100,31 +96,9 @@ class Pisc
         return offerNackSlow(vertex, now);
     }
 
-    /**
-     * @name Snapshot support.
-     * Engine clocks and counters; the microcode program is run
-     * configuration, re-loaded before restore.
-     * @{
-     */
-    void
-    save(SnapshotWriter &w) const
-    {
-        w.putU64(busy_until_);
-        w.putU64(last_completion_);
-        w.putU64(ops_);
-        w.putU64(busy_cycles_);
-        w.putU64(queue_cycles_);
-    }
-    void
-    restore(SnapshotReader &r)
-    {
-        busy_until_ = r.getU64();
-        last_completion_ = r.getU64();
-        ops_ = r.getU64();
-        busy_cycles_ = r.getU64();
-        queue_cycles_ = r.getU64();
-    }
-    /** @} */
+    /** Engine clocks and counters; the microcode program is run
+     *  configuration, re-loaded before restore. */
+    void visit(FieldVisitor &v);
 
     void reset();
 

@@ -6,7 +6,6 @@
 #include "omega/scratchpad.hh"
 
 #include "util/logging.hh"
-#include "util/stats.hh"
 
 namespace omega {
 
@@ -25,13 +24,14 @@ Scratchpad::setLineBytes(std::uint32_t line_bytes)
 }
 
 void
-Scratchpad::addStats(StatGroup &group) const
+Scratchpad::visit(FieldVisitor &v)
 {
-    group.addScalar("reads", &reads_, "scratchpad reads");
-    group.addScalar("writes", &writes_, "scratchpad writes");
-    group.addScalar("atomics", &atomics_, "in-situ atomics");
-    group.addScalar("bytes_read", &bytes_read_, "bytes read");
-    group.addScalar("bytes_written", &bytes_written_, "bytes written");
+    v.config("scratchpad line bytes", line_bytes_);
+    v.counter("reads", reads_, "scratchpad reads");
+    v.counter("writes", writes_, "scratchpad writes");
+    v.counter("atomics", atomics_, "in-situ atomics");
+    v.counter("bytes_read", bytes_read_, "bytes read");
+    v.counter("bytes_written", bytes_written_, "bytes written");
 }
 
 void

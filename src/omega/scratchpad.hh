@@ -16,13 +16,11 @@
 #include <cstdint>
 
 #include "graph/types.hh"
+#include "sim/field_visitor.hh"
 #include "sim/params.hh"
-#include "sim/snapshot.hh"
 #include "util/check.hh"
 
 namespace omega {
-
-class StatGroup;
 
 /** One core's scratchpad: geometry plus access accounting. */
 class Scratchpad
@@ -79,42 +77,11 @@ class Scratchpad
     /** Record total accesses (reads + writes + atomics). */
     std::uint64_t accesses() const { return reads_ + writes_ + atomics_; }
 
-    /** Register access counters in @p group. */
-    void addStats(StatGroup &group) const;
-
     /**
-     * @name Snapshot support.
-     * Access counters plus the run's line geometry (setLineBytes is
-     * re-run by configure() before restore; mismatch is a state error).
-     * @{
+     * Access counters plus the run's line geometry (config: setLineBytes
+     * is re-run by configure() before restore).
      */
-    void
-    save(SnapshotWriter &w) const
-    {
-        w.putU32(line_bytes_);
-        w.putU64(reads_);
-        w.putU64(writes_);
-        w.putU64(atomics_);
-        w.putU64(bytes_read_);
-        w.putU64(bytes_written_);
-    }
-    void
-    restore(SnapshotReader &r)
-    {
-        const std::uint32_t line_bytes = r.getU32();
-        if (line_bytes != line_bytes_) {
-            throw SnapshotStateError(
-                "snapshot: scratchpad line size mismatch (snapshot " +
-                std::to_string(line_bytes) + " B, machine " +
-                std::to_string(line_bytes_) + " B)");
-        }
-        reads_ = r.getU64();
-        writes_ = r.getU64();
-        atomics_ = r.getU64();
-        bytes_read_ = r.getU64();
-        bytes_written_ = r.getU64();
-    }
-    /** @} */
+    void visit(FieldVisitor &v);
 
     void reset();
 

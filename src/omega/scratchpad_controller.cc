@@ -11,7 +11,6 @@
 
 #include "sim/fault.hh"
 #include "util/logging.hh"
-#include "util/stats.hh"
 
 namespace omega {
 
@@ -268,66 +267,54 @@ ScratchpadController::stuckVertices(Cycles now,
 }
 
 void
-ScratchpadController::addStats(StatGroup &group) const
+ScratchpadController::visit(FieldVisitor &v)
 {
-    group.addScalar("conflicts", &conflicts_,
-                    "atomics serialized behind a same-vertex in-flight op");
-}
-
-void
-ScratchpadController::save(SnapshotWriter &w) const
-{
-    w.putU32Vector(memo_);
-    w.putU64(slow_lookups_);
-    w.putU64(conflicts_);
+    v.state(std::span(memo_));
+    v.state(slow_lookups_);
+    v.counter("conflicts", conflicts_,
+              "atomics serialized behind a same-vertex in-flight op");
     // Busy table, canonically: the live entries with their completion
     // times. Epoch/stamp values are an invalidation encoding, not state.
-    w.putU64(busy_live_.size());
-    for (const VertexId v : busy_live_) {
-        w.putU32(static_cast<std::uint32_t>(v));
-        w.putU64(busy_until_[v]);
-    }
-    w.putU64(max_busy_);
-    w.putBool(any_demotion_);
-    w.putU8Vector(poisoned_);
-    w.putU8Vector(demoted_);
-    w.putU64(poisoned_count_);
-    w.putU32(demoted_count_);
-}
-
-void
-ScratchpadController::restore(SnapshotReader &r)
-{
-    std::vector<std::uint32_t> memo = r.getU32Vector();
-    if (memo.size() != memo_.size()) {
-        throw SnapshotStateError(
-            "snapshot: controller memo table sized for " +
-            std::to_string(memo.size()) + " cores, machine has " +
-            std::to_string(memo_.size()));
-    }
-    memo_ = std::move(memo);
-    slow_lookups_ = r.getU64();
-    conflicts_ = r.getU64();
-    bumpBusyEpoch();
-    busy_live_.clear();
-    const std::uint64_t live = r.getU64();
-    for (std::uint64_t i = 0; i < live; ++i) {
-        const auto vertex = static_cast<VertexId>(r.getU32());
-        const Cycles until = r.getU64();
-        if (vertex >= busy_until_.size()) {
-            busy_until_.resize(vertex + 1);
-            busy_stamp_.resize(vertex + 1, 0);
-        }
-        busy_stamp_[vertex] = busy_epoch_;
-        busy_until_[vertex] = until;
-        busy_live_.push_back(vertex);
-    }
-    max_busy_ = r.getU64();
-    any_demotion_ = r.getBool();
-    poisoned_ = r.getByteVector();
-    demoted_ = r.getByteVector();
-    poisoned_count_ = r.getU64();
-    demoted_count_ = r.getU32();
+    v.custom(
+        [this](SnapshotWriter &w) {
+            w.putU64(busy_live_.size());
+            for (const VertexId vertex : busy_live_) {
+                w.putU32(vertex);
+                w.putU64(busy_until_[vertex]);
+            }
+        },
+        [this](SnapshotReader &r) {
+            // Only vertices of the configured run can be busy; anything
+            // else is rejected before the table grows for it.
+            VertexId vertices = resident_;
+            for (const PropSpec &p : props_)
+                vertices = std::max(vertices, p.count);
+            bumpBusyEpoch();
+            busy_live_.clear();
+            const std::uint64_t live = r.getCount(4 + 8);
+            for (std::uint64_t i = 0; i < live; ++i) {
+                const VertexId vertex = r.getU32();
+                if (vertex >= vertices) {
+                    throw SnapshotStateError(
+                        "snapshot: busy vertex " + std::to_string(vertex) +
+                        " outside the run's " + std::to_string(vertices) +
+                        " vertices");
+                }
+                if (vertex >= busy_until_.size()) {
+                    busy_until_.resize(vertex + 1);
+                    busy_stamp_.resize(vertex + 1, 0);
+                }
+                busy_stamp_[vertex] = busy_epoch_;
+                busy_until_[vertex] = r.getU64();
+                busy_live_.push_back(vertex);
+            }
+        });
+    v.state(max_busy_);
+    v.state(any_demotion_);
+    v.state(poisoned_);
+    v.state(demoted_);
+    v.state(poisoned_count_);
+    v.state(demoted_count_);
 }
 
 void

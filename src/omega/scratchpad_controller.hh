@@ -27,13 +27,11 @@
 #include <vector>
 
 #include "graph/types.hh"
+#include "sim/field_visitor.hh"
 #include "sim/memory_system.hh"
 #include "sim/params.hh"
-#include "sim/snapshot.hh"
 
 namespace omega {
-
-class StatGroup;
 
 /** Result of the monitor unit: which vertex/prop an address refers to. */
 struct SpRoute
@@ -167,8 +165,6 @@ class ScratchpadController
     std::size_t busyTableSize() const { return busy_live_.size(); }
     /** Conflicts observed (requests that had to wait). */
     std::uint64_t conflicts() const { return conflicts_; }
-    /** Register conflict counters in @p group. */
-    void addStats(StatGroup &group) const;
     /** Clear the busy table and counters (between runs). */
     void reset();
     /** @} */
@@ -210,16 +206,13 @@ class ScratchpadController
     /** @} */
 
     /**
-     * @name Snapshot support.
-     * All run-time state: busy table (epoch-stamped), memo slots,
-     * slow-lookup counter, conflict counter, and the fault degradation
-     * maps. The monitor table / partition config is re-derived by
-     * configure() before restore; resident count must match.
-     * @{
+     * All run-time state: memo slots, slow-lookup counter, conflict
+     * counter, the busy table (canonically encoded) and the fault
+     * degradation maps. The monitor table / partition config is
+     * re-derived by configure() before restore; a busy vertex outside
+     * the configured run is a SnapshotStateError.
      */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
-    /** @} */
+    void visit(FieldVisitor &v);
 
   private:
     /** One monitored range, sorted by start for the interval table. */

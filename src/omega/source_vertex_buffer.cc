@@ -5,7 +5,6 @@
 
 #include "omega/source_vertex_buffer.hh"
 
-#include "util/stats.hh"
 
 namespace omega {
 
@@ -72,12 +71,31 @@ SourceVertexBuffer::invalidate(VertexId vertex, std::uint32_t prop)
 }
 
 void
-SourceVertexBuffer::addStats(StatGroup &group) const
+SourceVertexBuffer::visit(FieldVisitor &v)
 {
-    group.addScalar("hits", &hits_, "SVB hits");
-    group.addScalar("misses", &misses_, "SVB misses");
-    group.addScalar("invalidation_epochs", &invalidations_,
-                    "end-of-iteration invalidation sweeps");
+    v.config("SVB slots", slots_.size());
+    v.custom(
+        [this](SnapshotWriter &w) {
+            for (const Slot &s : slots_) {
+                w.putBool(s.valid);
+                w.putU32(s.vertex);
+                w.putU32(s.prop);
+                w.putU64(s.lru);
+            }
+        },
+        [this](SnapshotReader &r) {
+            for (Slot &s : slots_) {
+                s.valid = r.getBool();
+                s.vertex = r.getU32();
+                s.prop = r.getU32();
+                s.lru = r.getU64();
+            }
+        });
+    v.state(lru_clock_);
+    v.counter("hits", hits_, "SVB hits");
+    v.counter("misses", misses_, "SVB misses");
+    v.counter("invalidation_epochs", invalidations_,
+              "end-of-iteration invalidation sweeps");
 }
 
 void

@@ -18,11 +18,9 @@
 #include <vector>
 
 #include "graph/types.hh"
-#include "sim/snapshot.hh"
+#include "sim/field_visitor.hh"
 
 namespace omega {
-
-class StatGroup;
 
 /** Fully-associative LRU buffer of (vertex, prop) entries. */
 class SourceVertexBuffer
@@ -57,51 +55,11 @@ class SourceVertexBuffer
     /** End-of-iteration invalidation sweeps performed. */
     std::uint64_t invalidationEpochs() const { return invalidations_; }
 
-    /** Register hit/miss counters in @p group. */
-    void addStats(StatGroup &group) const;
-
     /**
-     * @name Snapshot support.
-     * All slots (valid/vertex/prop/lru), the LRU clock and the counters.
-     * Capacity is constructor state and must match on restore.
-     * @{
+     * Capacity (config), all slots (valid/vertex/prop/lru), the LRU
+     * clock and the counters.
      */
-    void
-    save(SnapshotWriter &w) const
-    {
-        w.putU64(slots_.size());
-        for (const Slot &s : slots_) {
-            w.putBool(s.valid);
-            w.putU32(static_cast<std::uint32_t>(s.vertex));
-            w.putU32(s.prop);
-            w.putU64(s.lru);
-        }
-        w.putU64(lru_clock_);
-        w.putU64(hits_);
-        w.putU64(misses_);
-        w.putU64(invalidations_);
-    }
-    void
-    restore(SnapshotReader &r)
-    {
-        const std::uint64_t count = r.getU64();
-        if (count != slots_.size()) {
-            throw SnapshotStateError(
-                "snapshot: SVB has " + std::to_string(count) +
-                " slots, machine has " + std::to_string(slots_.size()));
-        }
-        for (Slot &s : slots_) {
-            s.valid = r.getBool();
-            s.vertex = static_cast<VertexId>(r.getU32());
-            s.prop = r.getU32();
-            s.lru = r.getU64();
-        }
-        lru_clock_ = r.getU64();
-        hits_ = r.getU64();
-        misses_ = r.getU64();
-        invalidations_ = r.getU64();
-    }
-    /** @} */
+    void visit(FieldVisitor &v);
 
     void resetStats();
 

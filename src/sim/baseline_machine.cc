@@ -16,6 +16,7 @@ namespace omega {
 BaselineMachine::BaselineMachine(const MachineParams &params)
     : BaselineMachine(params, "baseline")
 {
+    registerStats(stats_root_, *this);
 }
 
 BaselineMachine::BaselineMachine(const MachineParams &params,
@@ -26,31 +27,32 @@ BaselineMachine::BaselineMachine(const MachineParams &params,
     tiles_.reserve(params.num_cores);
     for (unsigned c = 0; c < params.num_cores; ++c)
         tiles_.emplace_back(params);
-    buildStatTree();
 }
 
 void
-BaselineMachine::buildStatTree()
+BaselineMachine::visit(FieldVisitor &v)
 {
-    // Component vectors are fully constructed by now; the groups hold raw
-    // pointers into them, so this must be the constructor's last act.
-    stats_root_.addScalar("cycles", &global_cycles_,
-                          "global completed time");
-    stats_root_.addScalar("atomics_total", &atomics_total_,
-                          "atomic vtxProp updates issued");
-    stats_root_.addScalar("vtxprop_accesses", &vtxprop_accesses_,
-                          "vtxProp touches");
-    stats_root_.addScalar("vtxprop_hot_accesses", &vtxprop_hot_accesses_,
-                          "vtxProp touches on hot vertices");
-    hierarchy_.addStats(cache_group_);
-    stats_root_.addChild(&cache_group_);
-    core_groups_.reserve(tiles_.size());
-    for (std::size_t c = 0; c < tiles_.size(); ++c) {
-        core_groups_.push_back(std::make_unique<StatGroup>(
-            "core" + std::to_string(c)));
-        tiles_[c].core.addStats(*core_groups_.back());
-        stats_root_.addChild(core_groups_.back().get());
-    }
+    v.counter("cycles", global_cycles_, "global completed time");
+    v.state(iteration_);
+    v.state(last_barrier_cycles_);
+    v.counter("atomics_total", atomics_total_,
+              "atomic vtxProp updates issued");
+    v.counter("vtxprop_accesses", vtxprop_accesses_, "vtxProp touches");
+    v.counter("vtxprop_hot_accesses", vtxprop_hot_accesses_,
+              "vtxProp touches on hot vertices");
+    v.group("cache", hierarchy_);
+    v.config("tiles", tiles_.size());
+    for (std::size_t c = 0; c < tiles_.size(); ++c)
+        v.group("core" + std::to_string(c), tiles_[c]);
+    visitFaults(v);
+}
+
+void
+BaselineMachine::visitFaults(FieldVisitor &v)
+{
+    v.config("fault campaign armed", injector_ != nullptr);
+    if (injector_ != nullptr)
+        v.group("faults", *injector_);
 }
 
 void
@@ -72,24 +74,11 @@ BaselineMachine::attachTracing()
     s->nameThread(trace::kEngineTid, "engine");
 }
 
-std::vector<CoreIntervalStats>
-BaselineMachine::coreIntervals() const
-{
-    std::vector<CoreIntervalStats> out;
-    out.reserve(tiles_.size());
-    for (const auto &tile : tiles_) {
-        const CoreModel &core = tile.core;
-        out.push_back({core.computeCycles(), core.memStallCycles(),
-                       core.atomicStallCycles(), core.syncStallCycles()});
-    }
-    return out;
-}
-
 void
 BaselineMachine::takeSample(SampleKind kind)
 {
     recorder_->take(kind, global_cycles_, iteration_, report(),
-                    coreIntervals());
+                    coreIntervals(tiles_));
 }
 
 void
@@ -109,9 +98,8 @@ BaselineMachine::armFaults(const FaultPlan &plan)
         injector_ = std::make_unique<FaultInjector>(plan);
         // Lazy stat registration: the "faults" group only exists on armed
         // runs, so the unarmed stat tree stays byte-identical.
-        fault_group_ = std::make_unique<StatGroup>("faults");
-        injector_->addStats(*fault_group_);
-        stats_root_.addChild(fault_group_.get());
+        StatRegistrar registrar(stats_root_);
+        visitFaults(registrar);
     } else {
         // Re-arm in place: the stat group holds pointers into the
         // injector's counters, so the object's address must not change.
@@ -135,12 +123,10 @@ BaselineMachine::armProfile()
         // Lazy stat registration, like armFaults(): the "profile" group
         // only exists on armed runs, so the unarmed stat tree — and the
         // pinned golden digests over it — stays byte-identical.
-        profile_group_ = std::make_unique<StatGroup>("profile");
         profiler_->attachDramChannels(
             &hierarchy_.dram().channelBusyCycles(),
             &hierarchy_.dram().channelRequests());
-        profiler_->addStats(*profile_group_);
-        stats_root_.addChild(profile_group_.get());
+        profiler_->addStats(stats_root_.addGroup("profile"));
     } else {
         // Re-arm in place: the stat group holds pointers into the
         // profiler's counters, so the object's address must not change.
@@ -158,58 +144,6 @@ BaselineMachine::refreshWatchdog()
                            : (injector_ != nullptr
                                   ? injector_->plan().watchdog_cycles
                                   : 0);
-}
-
-void
-BaselineMachine::saveState(SnapshotWriter &w) const
-{
-    w.putU64(global_cycles_);
-    w.putU64(iteration_);
-    w.putU64(last_barrier_cycles_);
-    w.putU64(atomics_total_);
-    w.putU64(vtxprop_accesses_);
-    w.putU64(vtxprop_hot_accesses_);
-    w.putU64(tiles_.size());
-    for (const CoreTile &tile : tiles_) {
-        tile.core.save(w);
-        w.putU64(tile.sparse_appends);
-    }
-    hierarchy_.save(w);
-    w.putBool(injector_ != nullptr);
-    if (injector_ != nullptr)
-        injector_->save(w);
-}
-
-void
-BaselineMachine::restoreState(SnapshotReader &r)
-{
-    global_cycles_ = r.getU64();
-    iteration_ = r.getU64();
-    last_barrier_cycles_ = r.getU64();
-    atomics_total_ = r.getU64();
-    vtxprop_accesses_ = r.getU64();
-    vtxprop_hot_accesses_ = r.getU64();
-    const std::uint64_t tiles = r.getU64();
-    if (tiles != tiles_.size()) {
-        throw SnapshotStateError(
-            "snapshot: machine has " + std::to_string(tiles) +
-            " tiles, this machine has " + std::to_string(tiles_.size()));
-    }
-    for (CoreTile &tile : tiles_) {
-        tile.core.restore(r);
-        tile.sparse_appends = r.getU64();
-    }
-    hierarchy_.restore(r);
-    const bool armed = r.getBool();
-    if (armed != (injector_ != nullptr)) {
-        throw SnapshotStateError(
-            armed ? "snapshot: fault campaign armed in the snapshot but "
-                    "not on this machine"
-                  : "snapshot: no fault campaign in the snapshot but one "
-                    "is armed on this machine");
-    }
-    if (injector_ != nullptr)
-        injector_->restore(r);
 }
 
 std::string

@@ -54,23 +54,20 @@ class BaselineMachine : public MemorySystem
     AccessProfiler *profiler() override { return profiler_.get(); }
 
     /**
-     * @name Checkpoint/restore.
-     * Tiles, the shared spine, machine clocks/counters and any armed
-     * fault injector. Derived machines (GRASP) extend the stream; the
-     * stat tree is pointer-stable, so restore writes every registered
-     * word in place. Profiler state is deliberately out of scope
-     * (checkpointing is rejected under --profile at the CLI).
-     * @{
+     * Machine clocks/counters, the shared spine ("cache"), the tiles
+     * ("coreN") and any armed fault injector ("faults"). Derived
+     * machines (GRASP) extend it. Profiler state is deliberately out of
+     * scope (checkpointing is rejected under --profile at the CLI).
      */
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
-    /** @} */
+    void visit(FieldVisitor &v) override;
 
   protected:
     /**
      * Derived-machine constructor (GRASP): same hardware, a different
      * registry name — used verbatim as the stat-tree root and trace pid
      * label, so per-machine artifacts stay distinguishable in a sweep.
+     * The derived constructor builds the stat tree once its own members
+     * exist (registerStats(stats_root_, *this)).
      */
     BaselineMachine(const MachineParams &params, std::string name);
 
@@ -96,8 +93,8 @@ class BaselineMachine : public MemorySystem
     /** Atomic handler: locked RMW on the core plus active-list upkeep. */
     void atomicUpdate(const AtomicRequest &request);
     void countVertexAccess(VertexId vertex);
-    void buildStatTree();
-    std::vector<CoreIntervalStats> coreIntervals() const;
+    /** The armed flag (config) and, when armed, the injector. */
+    void visitFaults(FieldVisitor &v);
     void takeSample(SampleKind kind);
     void refreshWatchdog();
     /** Core-private tiles; everything cross-core lives in hierarchy_
@@ -112,12 +109,10 @@ class BaselineMachine : public MemorySystem
      *  models DRAM channel stalls — there is no scratchpad/PISC/packet
      *  surface to fault, and the coherence hot path stays untouched. */
     std::unique_ptr<FaultInjector> injector_;
-    std::unique_ptr<StatGroup> fault_group_;
 
     /** Armed access profiler (null on the profile-free fast path);
      *  lazily built with its stat group on the first armProfile(). */
     std::unique_ptr<AccessProfiler> profiler_;
-    std::unique_ptr<StatGroup> profile_group_;
     /** Effective forward-progress budget; 0 disables the watchdog. */
     Cycles watchdog_cycles_ = 0;
     Cycles last_barrier_cycles_ = 0;
@@ -125,9 +120,6 @@ class BaselineMachine : public MemorySystem
     std::uint64_t atomics_total_ = 0;
     std::uint64_t vtxprop_accesses_ = 0;
     std::uint64_t vtxprop_hot_accesses_ = 0;
-
-    StatGroup cache_group_{"cache"};
-    std::vector<std::unique_ptr<StatGroup>> core_groups_;
 };
 
 } // namespace omega

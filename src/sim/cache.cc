@@ -96,56 +96,37 @@ CacheArray::missFill(std::uint64_t base, std::uint64_t tag,
 }
 
 void
-CacheArray::save(SnapshotWriter &w) const
+CacheArray::visit(FieldVisitor &v)
 {
-    w.putU64(sets_);
-    w.putU32(ways_);
-    w.putU32(line_bytes_);
-    w.putU64(lru_clock_);
-    w.putU64Vector(tags_);
-    w.putU64Vector(lru_);
-    w.putU64(lines_.size());
-    for (const CacheLine &line : lines_) {
-        w.putU64(line.tag);
-        w.putU8(static_cast<std::uint8_t>(line.state));
-        w.putU32(line.sharers);
-        w.putU8(line.owner);
-        w.putBool(line.dirty_l1);
-        w.putBool(line.dirty);
-    }
-}
-
-void
-CacheArray::restore(SnapshotReader &r)
-{
-    const std::uint64_t sets = r.getU64();
-    const std::uint32_t ways = r.getU32();
-    const std::uint32_t line_bytes = r.getU32();
-    if (sets != sets_ || ways != ways_ || line_bytes != line_bytes_) {
-        throw SnapshotStateError(
-            "snapshot: cache geometry mismatch (snapshot " +
-            std::to_string(sets) + "x" + std::to_string(ways) + "x" +
-            std::to_string(line_bytes) + ", machine " +
-            std::to_string(sets_) + "x" + std::to_string(ways_) + "x" +
-            std::to_string(line_bytes_) + ")");
-    }
-    lru_clock_ = r.getU64();
-    tags_ = r.getU64Vector();
-    lru_ = r.getU64Vector();
-    const std::uint64_t count = r.getU64();
-    if (tags_.size() != sets_ * ways_ || lru_.size() != sets_ * ways_ ||
-        count != sets_ * ways_) {
-        throw SnapshotStateError(
-            "snapshot: cache row count does not match its geometry");
-    }
-    for (CacheLine &line : lines_) {
-        line.tag = r.getU64();
-        line.state = static_cast<LineState>(r.getU8());
-        line.sharers = static_cast<std::uint16_t>(r.getU32());
-        line.owner = r.getU8();
-        line.dirty_l1 = r.getBool();
-        line.dirty = r.getBool();
-    }
+    v.config("cache sets", sets_);
+    v.config("cache ways", ways_);
+    v.config("cache line bytes", line_bytes_);
+    v.state(lru_clock_);
+    v.state(std::span(tags_));
+    v.state(std::span(lru_));
+    // Line metadata, field by field (CacheLine has padding); the row
+    // count is the geometry checked above.
+    v.custom(
+        [this](SnapshotWriter &w) {
+            for (const CacheLine &line : lines_) {
+                w.putU64(line.tag);
+                w.putU8(static_cast<std::uint8_t>(line.state));
+                w.putU32(line.sharers);
+                w.putU8(line.owner);
+                w.putBool(line.dirty_l1);
+                w.putBool(line.dirty);
+            }
+        },
+        [this](SnapshotReader &r) {
+            for (CacheLine &line : lines_) {
+                line.tag = r.getU64();
+                line.state = static_cast<LineState>(r.getU8());
+                line.sharers = static_cast<std::uint16_t>(r.getU32());
+                line.owner = r.getU8();
+                line.dirty_l1 = r.getBool();
+                line.dirty = r.getBool();
+            }
+        });
 }
 
 void

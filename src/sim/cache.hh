@@ -28,8 +28,8 @@
 #endif
 
 #include "sim/cache_policy.hh"
+#include "sim/field_visitor.hh"
 #include "sim/params.hh"
-#include "sim/snapshot.hh"
 #include "util/check.hh"
 
 namespace omega {
@@ -209,16 +209,11 @@ class CacheArray
     void flush();
 
     /**
-     * @name Snapshot support.
-     * The tag/LRU rows and full line metadata; geometry is construction
-     * state and only cross-checked (restore into a differently sized
-     * array throws SnapshotStateError). The installed policy is external
-     * configuration and is not serialized.
-     * @{
+     * Geometry (config), the tag/LRU rows and the full line metadata.
+     * The installed policy is external configuration and is not
+     * serialized.
      */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
-    /** @} */
+    void visit(FieldVisitor &v);
 
   private:
     /**

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "sim/field_visitor.hh"
 #include "sim/memory_system.hh"
 #include "util/logging.hh"
 
@@ -114,6 +115,25 @@ GraspPolicy::promoteOnHit(std::uint64_t line_addr)
     }
     ++stats_.promoted_hits;
     return true;
+}
+
+void
+GraspPolicy::visit(FieldVisitor &v)
+{
+    GraspPolicyStats &s = stats_;
+    v.counter("hot_inserts", s.hot_inserts,
+              "LLC fills from hot property ranges");
+    v.counter("warm_inserts", s.warm_inserts,
+              "LLC fills from warm property ranges");
+    v.counter("cold_inserts", s.cold_inserts,
+              "LLC fills from cold property ranges");
+    v.counter("other_inserts", s.other_inserts,
+              "LLC fills outside monitored ranges");
+    v.counter("distant_inserts", s.distant_inserts,
+              "LLC fills at distant-reuse priority");
+    v.counter("promoted_hits", s.promoted_hits, "LLC hits promoted to MRU");
+    v.counter("unpromoted_hits", s.unpromoted_hits,
+              "LLC hits left at their priority");
 }
 
 const char *

@@ -33,6 +33,7 @@
 
 namespace omega {
 
+class FieldVisitor;
 struct MachineConfig;
 
 /** LLC insertion/promotion hook. Addresses are line-aligned. */
@@ -156,11 +157,10 @@ class GraspPolicy final : public CachePolicy
     bool promoteOnHit(std::uint64_t line_addr) override;
 
     const GraspPolicyStats &stats() const { return stats_; }
-    /** Counters live at a stable address for stat-tree registration. */
-    const GraspPolicyStats *statsPtr() const { return &stats_; }
     void resetStats() { stats_ = GraspPolicyStats{}; }
-    /** Overwrite the counters in place (checkpoint restore). */
-    void restoreStats(const GraspPolicyStats &s) { stats_ = s; }
+    /** The decision counters (the region map is configuration,
+     *  re-derived by configure() on resume). */
+    void visit(FieldVisitor &v);
 
     const std::vector<GraspRegion> &regions() const { return regions_; }
 

@@ -234,65 +234,23 @@ CacheHierarchy::collect(StatsReport &out) const
 }
 
 void
-CacheHierarchy::addStats(StatGroup &group)
+CacheHierarchy::visit(FieldVisitor &v)
 {
-    group.addScalar("l1_accesses", &l1_accesses_, "L1D accesses");
-    group.addScalar("l1_hits", &l1_hits_, "L1D hits");
-    group.addScalar("l2_accesses", &l2_accesses_, "shared-L2 accesses");
-    group.addScalar("l2_hits", &l2_hits_, "shared-L2 hits");
-    group.addScalar("writebacks", &writebacks_, "dirty-line writebacks");
-    group.addScalar("upgrades", &upgrades_, "S->M upgrade transactions");
-    group.addScalar("invalidations", &invalidations_,
-                    "sharer invalidations sent");
-    group.addScalar("dirty_forwards", &dirty_forwards_,
-                    "3-hop dirty-owner forwards");
-    xbar_->addStats(xbar_group_);
-    dram_->addStats(dram_group_);
-    group.addChild(&xbar_group_);
-    group.addChild(&dram_group_);
-}
-
-void
-CacheHierarchy::save(SnapshotWriter &w) const
-{
-    w.putU64(l1_.size());
-    for (const CacheArray &l1 : l1_)
-        l1.save(w);
-    l2_.save(w);
-    xbar_->save(w);
-    dram_->save(w);
-    w.putU64(l1_accesses_);
-    w.putU64(l1_hits_);
-    w.putU64(l2_accesses_);
-    w.putU64(l2_hits_);
-    w.putU64(writebacks_);
-    w.putU64(upgrades_);
-    w.putU64(invalidations_);
-    w.putU64(dirty_forwards_);
-}
-
-void
-CacheHierarchy::restore(SnapshotReader &r)
-{
-    const std::uint64_t l1s = r.getU64();
-    if (l1s != l1_.size()) {
-        throw SnapshotStateError(
-            "snapshot: hierarchy has " + std::to_string(l1s) +
-            " L1 caches, machine has " + std::to_string(l1_.size()));
-    }
+    v.config("L1 caches", l1_.size());
     for (CacheArray &l1 : l1_)
-        l1.restore(r);
-    l2_.restore(r);
-    xbar_->restore(r);
-    dram_->restore(r);
-    l1_accesses_ = r.getU64();
-    l1_hits_ = r.getU64();
-    l2_accesses_ = r.getU64();
-    l2_hits_ = r.getU64();
-    writebacks_ = r.getU64();
-    upgrades_ = r.getU64();
-    invalidations_ = r.getU64();
-    dirty_forwards_ = r.getU64();
+        l1.visit(v);
+    l2_.visit(v);
+    v.group("xbar", *xbar_);
+    v.group("dram", *dram_);
+    v.counter("l1_accesses", l1_accesses_, "L1D accesses");
+    v.counter("l1_hits", l1_hits_, "L1D hits");
+    v.counter("l2_accesses", l2_accesses_, "shared-L2 accesses");
+    v.counter("l2_hits", l2_hits_, "shared-L2 hits");
+    v.counter("writebacks", writebacks_, "dirty-line writebacks");
+    v.counter("upgrades", upgrades_, "S->M upgrade transactions");
+    v.counter("invalidations", invalidations_, "sharer invalidations sent");
+    v.counter("dirty_forwards", dirty_forwards_,
+              "3-hop dirty-owner forwards");
 }
 
 void

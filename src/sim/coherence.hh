@@ -29,7 +29,6 @@
 #include "sim/params.hh"
 #include "sim/profile.hh"
 #include "sim/stats_report.hh"
-#include "util/stats.hh"
 
 namespace omega {
 
@@ -111,22 +110,11 @@ class CacheHierarchy
     void collect(StatsReport &out) const;
 
     /**
-     * @name Snapshot support.
-     * Every L1, the L2/directory, crossbar, DRAM and the hierarchy's own
-     * transaction counters. Installed policy objects are external config
-     * (the machine re-serializes policy statistics itself).
-     * @{
+     * Every L1, the L2/directory, the "xbar" and "dram" child groups and
+     * the hierarchy's own transaction counters. Installed policy objects
+     * are external config (the machine visits policy statistics itself).
      */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
-    /** @} */
-
-    /**
-     * Register cache/coherence counters in @p group and attach "xbar"
-     * and "dram" child groups (owned by this hierarchy) for the shared
-     * interconnect and memory. Call at most once per hierarchy.
-     */
-    void addStats(StatGroup &group);
+    void visit(FieldVisitor &v);
 
     /** Invalidate all caches (between runs). */
     void flushAll();
@@ -150,8 +138,6 @@ class CacheHierarchy
     CacheArray l2_;
     std::unique_ptr<Crossbar> xbar_;
     std::unique_ptr<Dram> dram_;
-    StatGroup xbar_group_{"xbar"};
-    StatGroup dram_group_{"dram"};
     AccessProfiler *profiler_ = nullptr;
 
     std::uint64_t l1_accesses_ = 0;

@@ -9,7 +9,6 @@
 #include <bit>
 
 #include "util/check.hh"
-#include "util/stats.hh"
 #include "util/trace.hh"
 
 namespace omega {
@@ -129,59 +128,21 @@ CoreModel::syncTo(Cycles t)
 }
 
 void
-CoreModel::addStats(StatGroup &group) const
+CoreModel::visit(FieldVisitor &v)
 {
-    group.addScalar("instructions", &instructions_,
-                    "instruction-equivalents retired");
-    group.addScalar("compute_cycles", &compute_cycles_,
-                    "cycles doing useful work");
-    group.addScalar("mem_stall_cycles", &mem_stall_cycles_,
-                    "cycles stalled on memory");
-    group.addScalar("atomic_stall_cycles", &atomic_stall_cycles_,
-                    "cycles stalled on atomics");
-    group.addScalar("sync_stall_cycles", &sync_stall_cycles_,
-                    "cycles stalled at barriers");
-}
-
-void
-CoreModel::save(SnapshotWriter &w) const
-{
-    w.putU64(clock_);
-    w.putU64(op_residue_);
-    // The layout of putU64Vector: a count, then the live slots in order.
-    w.putU64(inflight_count_);
-    for (unsigned i = 0; i < inflight_count_; ++i)
-        w.putU64(inflight_[i]);
-    w.putU64(oldest_inflight_);
-    w.putU64(instructions_);
-    w.putU64(compute_cycles_);
-    w.putU64(mem_stall_cycles_);
-    w.putU64(atomic_stall_cycles_);
-    w.putU64(sync_stall_cycles_);
-}
-
-void
-CoreModel::restore(SnapshotReader &r)
-{
-    clock_ = r.getU64();
-    op_residue_ = r.getU64();
-    // Check the count before reading a slot: the window is a fixed
-    // array sized for the MSHR count, not for the snapshot.
-    const std::uint64_t n = r.getU64();
-    if (n > mshrs_) {
-        throw SnapshotStateError(
-            "snapshot: core MSHR window holds " + std::to_string(n) +
-            " entries, machine has " + std::to_string(mshrs_) + " MSHRs");
-    }
-    inflight_count_ = static_cast<unsigned>(n);
-    for (unsigned i = 0; i < inflight_count_; ++i)
-        inflight_[i] = r.getU64();
-    oldest_inflight_ = r.getU64();
-    instructions_ = r.getU64();
-    compute_cycles_ = r.getU64();
-    mem_stall_cycles_ = r.getU64();
-    atomic_stall_cycles_ = r.getU64();
-    sync_stall_cycles_ = r.getU64();
+    v.state(clock_);
+    v.state(op_residue_);
+    v.state(std::span<Cycles>(inflight_, mshrs_), inflight_count_);
+    v.state(oldest_inflight_);
+    v.counter("instructions", instructions_,
+              "instruction-equivalents retired");
+    v.counter("compute_cycles", compute_cycles_, "cycles doing useful work");
+    v.counter("mem_stall_cycles", mem_stall_cycles_,
+              "cycles stalled on memory");
+    v.counter("atomic_stall_cycles", atomic_stall_cycles_,
+              "cycles stalled on atomics");
+    v.counter("sync_stall_cycles", sync_stall_cycles_,
+              "cycles stalled at barriers");
 }
 
 void

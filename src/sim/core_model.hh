@@ -19,13 +19,12 @@
 #include <cstdint>
 #include <limits>
 
+#include "sim/field_visitor.hh"
+#include "sim/interval_stats.hh"
 #include "sim/params.hh"
-#include "sim/snapshot.hh"
 #include "util/check.hh"
 
 namespace omega {
-
-class StatGroup;
 
 /** Stall attribution buckets. */
 enum class StallKind : std::uint8_t { Memory, Atomic, Sync };
@@ -145,6 +144,13 @@ class CoreModel
         return atomic_stall_cycles_;
     }
     std::uint64_t syncStallCycles() const { return sync_stall_cycles_; }
+    /** The four TMAM buckets, for an interval sample. */
+    CoreIntervalStats
+    intervalStats() const
+    {
+        return {compute_cycles_, mem_stall_cycles_, atomic_stall_cycles_,
+                sync_stall_cycles_};
+    }
 
     /**
      * Identify this core for event tracing (machine pid, core-index tid).
@@ -156,25 +162,16 @@ class CoreModel
         trace_tid_ = tid;
     }
 
-    /** Register this core's counters in @p group. */
-    void addStats(StatGroup &group) const;
-
     void reset();
 
     /**
-     * @name Snapshot support.
-     * Every mutable word, including the MSHR window's live completion
-     * times in their exact (unordered) slot order, saved as a u64
-     * vector — future window compactions scan that order, so it must
-     * survive a round trip verbatim. restore() throws SnapshotStateError
-     * for a window longer than the MSHR count before it writes a slot.
-     * Configuration (issue width, MSHR count) is constructor state and is
-     * not serialized.
-     * @{
+     * Counters, the clock and the MSHR window's live completion times in
+     * their exact (unordered) slot order — future window compactions
+     * scan that order, so it must survive a round trip verbatim. A
+     * restored window longer than the MSHR count is rejected before a
+     * slot is written. Issue width and MSHR count are constructor state.
      */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
-    /** @} */
+    void visit(FieldVisitor &v);
 
   private:
     /** Advance the clock to @p t, charging the gap to @p kind. */

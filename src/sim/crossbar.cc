@@ -6,7 +6,6 @@
 #include "sim/crossbar.hh"
 
 #include "sim/fault.hh"
-#include "util/stats.hh"
 
 namespace omega {
 
@@ -24,11 +23,11 @@ Crossbar::faultLatencySlow(Cycles now, Cycles retransmit_cycles)
 }
 
 void
-Crossbar::addStats(StatGroup &group) const
+Crossbar::visit(FieldVisitor &v)
 {
-    group.addScalar("bytes", &bytes_, "on-chip bytes moved");
-    group.addScalar("flits", &flits_, "flits traversing the crossbar");
-    group.addScalar("packets", &packets_, "packets (data + control)");
+    v.counter("bytes", bytes_, "on-chip bytes moved");
+    v.counter("flits", flits_, "flits traversing the crossbar");
+    v.counter("packets", packets_, "packets (data + control)");
 }
 
 void

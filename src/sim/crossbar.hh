@@ -15,13 +15,12 @@
 
 #include <cstdint>
 
+#include "sim/field_visitor.hh"
 #include "sim/params.hh"
-#include "sim/snapshot.hh"
 
 namespace omega {
 
 class FaultInjector;
-class StatGroup;
 
 /** Flit/byte accounting plus fixed latency helpers for the crossbar. */
 class Crossbar
@@ -75,29 +74,8 @@ class Crossbar
     std::uint64_t flits() const { return flits_; }
     std::uint64_t packets() const { return packets_; }
 
-    /** Register traffic counters in @p group. */
-    void addStats(StatGroup &group) const;
-
-    /**
-     * @name Snapshot support.
-     * Traffic counters only — latency/flit geometry is constructor state.
-     * @{
-     */
-    void
-    save(SnapshotWriter &w) const
-    {
-        w.putU64(bytes_);
-        w.putU64(flits_);
-        w.putU64(packets_);
-    }
-    void
-    restore(SnapshotReader &r)
-    {
-        bytes_ = r.getU64();
-        flits_ = r.getU64();
-        packets_ = r.getU64();
-    }
-    /** @} */
+    /** Traffic counters; latency/flit geometry is constructor state. */
+    void visit(FieldVisitor &v);
 
     void reset();
 

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <stdexcept>
 
 #include "sim/fault.hh"
 #include "sim/profile.hh"
@@ -127,67 +126,21 @@ Dram::write(Cycles now, std::uint64_t addr, std::uint32_t bytes)
 }
 
 void
-Dram::addStats(StatGroup &group) const
+Dram::visit(FieldVisitor &v)
 {
-    group.addScalar("reads", &reads_, "DRAM read requests");
-    group.addScalar("writes", &writes_, "DRAM write requests");
-    group.addScalar("read_bytes", &read_bytes_, "bytes read from DRAM");
-    group.addScalar("write_bytes", &write_bytes_,
-                    "bytes written to DRAM");
-    group.addScalar("queue_cycles", &queue_cycles_,
-                    "total channel queueing delay");
-    group.addScalar("max_queue", &max_queue_,
-                    "worst single-request queueing delay");
-    group.addHistogram("queue_delay", &queue_hist_,
-                       "per-request channel queueing delay");
-}
-
-void
-Dram::save(SnapshotWriter &w) const
-{
-    w.putU64(channel_free_.size());
-    w.putU64Vector(channel_free_);
-    w.putU64Vector(channel_busy_);
-    w.putU64Vector(channel_requests_);
-    w.putU64(reads_);
-    w.putU64(writes_);
-    w.putU64(read_bytes_);
-    w.putU64(write_bytes_);
-    w.putU64(queue_cycles_);
-    w.putU64(max_queue_);
-    w.putU64Vector(queue_hist_.exportState());
-}
-
-void
-Dram::restore(SnapshotReader &r)
-{
-    const std::uint64_t channels = r.getU64();
-    if (channels != channel_free_.size()) {
-        throw SnapshotStateError(
-            "snapshot: DRAM has " + std::to_string(channels) +
-            " channels, machine has " +
-            std::to_string(channel_free_.size()));
-    }
-    channel_free_ = r.getU64Vector();
-    channel_busy_ = r.getU64Vector();
-    channel_requests_ = r.getU64Vector();
-    if (channel_free_.size() != channels ||
-        channel_busy_.size() != channels ||
-        channel_requests_.size() != channels) {
-        throw SnapshotStateError(
-            "snapshot: DRAM channel vectors do not match their count");
-    }
-    reads_ = r.getU64();
-    writes_ = r.getU64();
-    read_bytes_ = r.getU64();
-    write_bytes_ = r.getU64();
-    queue_cycles_ = r.getU64();
-    max_queue_ = r.getU64();
-    try {
-        queue_hist_.importState(r.getU64Vector());
-    } catch (const std::invalid_argument &e) {
-        throw SnapshotStateError(std::string("snapshot: ") + e.what());
-    }
+    v.config("DRAM channels", channel_free_.size());
+    v.state(std::span(channel_free_));
+    v.state(std::span(channel_busy_));
+    v.state(std::span(channel_requests_));
+    v.counter("reads", reads_, "DRAM read requests");
+    v.counter("writes", writes_, "DRAM write requests");
+    v.counter("read_bytes", read_bytes_, "bytes read from DRAM");
+    v.counter("write_bytes", write_bytes_, "bytes written to DRAM");
+    v.counter("queue_cycles", queue_cycles_, "total channel queueing delay");
+    v.counter("max_queue", max_queue_,
+              "worst single-request queueing delay");
+    v.histogram("queue_delay", queue_hist_,
+                "per-request channel queueing delay");
 }
 
 void

@@ -16,8 +16,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/field_visitor.hh"
 #include "sim/params.hh"
-#include "sim/snapshot.hh"
 #include "util/stats.hh"
 
 namespace omega {
@@ -79,10 +79,11 @@ class Dram
     /**
      * @name Per-channel accounting.
      * Occupancy cycles and request counts, one slot per channel.
-     * Exposed through accessors only — deliberately NOT registered in
-     * addStats(), whose entry list is frozen by the pinned golden
-     * digests; sum(busy) equals the single-channel occupancy total of
-     * the same request stream, and sum(requests) == reads() + writes().
+     * Exposed through accessors only — visit() saves them as state,
+     * not counters, because the stat tree is frozen by the pinned
+     * golden digests; sum(busy) equals the single-channel occupancy
+     * total of the same request stream, and sum(requests) == reads() +
+     * writes().
      * @{
      */
     const std::vector<Cycles> &channelBusyCycles() const
@@ -107,19 +108,12 @@ class Dram
     /** Arm (or disarm with nullptr) access-profile observation. */
     void setProfiler(AccessProfiler *profiler) { profiler_ = profiler; }
 
-    /** Register traffic counters and the queue histogram in @p group. */
-    void addStats(StatGroup &group) const;
-
     /**
-     * @name Snapshot support.
-     * Per-channel free times (the queueing state future requests see),
-     * traffic counters and the queue-delay histogram. Channel count must
-     * match the machine being restored into (SnapshotStateError).
-     * @{
+     * Channel count (config), per-channel free times (the queueing state
+     * future requests see), traffic counters and the queue-delay
+     * histogram.
      */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
-    /** @} */
+    void visit(FieldVisitor &v);
 
     void reset();
 

@@ -12,7 +12,6 @@
 
 #include "util/json.hh"
 #include "util/logging.hh"
-#include "util/stats.hh"
 
 namespace omega {
 
@@ -388,86 +387,62 @@ FaultInjector::registerScratchpadFault(unsigned sp)
 }
 
 void
-FaultInjector::save(SnapshotWriter &w) const
+FaultInjector::visit(FieldVisitor &v)
 {
-    w.putString(plan_.describe());
-    for (const Rng &stream : streams_) {
-        std::uint64_t words[4];
-        stream.exportState(words);
-        for (const std::uint64_t word : words)
-            w.putU64(word);
-    }
-    w.putU64(counters_.sp_ecc_errors);
-    w.putU64(counters_.pisc_nacks);
-    w.putU64(counters_.xbar_drops);
-    w.putU64(counters_.xbar_delays);
-    w.putU64(counters_.dram_stalls);
-    w.putU64(counters_.retries);
-    w.putU64(counters_.lost_updates);
-    w.putU64(counters_.degraded_atomics);
-    w.putU64(counters_.lines_poisoned);
-    w.putU64(counters_.sp_demotions);
-    w.putU64(counters_.refetches);
-    w.putU64(counters_.injected_delay_cycles);
-    w.putU64(events_.size());
-    for (const FaultEvent &e : events_) {
-        w.putU8(static_cast<std::uint8_t>(e.kind));
-        w.putU32(e.component);
-        w.putU32(static_cast<std::uint32_t>(e.vertex));
-        w.putU64(e.at);
-    }
-    w.putU64(total_events_);
-    w.putU64(trace_digest_);
-    w.putU32Vector(line_errors_);
-    w.putU32Vector(sp_faults_);
-}
-
-void
-FaultInjector::restore(SnapshotReader &r)
-{
-    const std::string plan = r.getString();
-    if (plan != plan_.describe()) {
-        throw SnapshotStateError(
-            "snapshot: fault plan mismatch (snapshot {" + plan +
-            "}, machine {" + plan_.describe() + "})");
-    }
-    for (Rng &stream : streams_) {
-        std::uint64_t words[4];
-        for (std::uint64_t &word : words)
-            word = r.getU64();
-        stream.importState(words);
-    }
-    counters_.sp_ecc_errors = r.getU64();
-    counters_.pisc_nacks = r.getU64();
-    counters_.xbar_drops = r.getU64();
-    counters_.xbar_delays = r.getU64();
-    counters_.dram_stalls = r.getU64();
-    counters_.retries = r.getU64();
-    counters_.lost_updates = r.getU64();
-    counters_.degraded_atomics = r.getU64();
-    counters_.lines_poisoned = r.getU64();
-    counters_.sp_demotions = r.getU64();
-    counters_.refetches = r.getU64();
-    counters_.injected_delay_cycles = r.getU64();
-    const std::uint64_t recorded = r.getU64();
-    if (recorded > kMaxRecordedEvents) {
-        throw SnapshotStateError(
-            "snapshot: recorded fault trace exceeds its cap");
-    }
-    events_.clear();
-    events_.reserve(recorded);
-    for (std::uint64_t i = 0; i < recorded; ++i) {
-        FaultEvent e;
-        e.kind = static_cast<FaultKind>(r.getU8());
-        e.component = r.getU32();
-        e.vertex = static_cast<VertexId>(r.getU32());
-        e.at = r.getU64();
-        events_.push_back(e);
-    }
-    total_events_ = r.getU64();
-    trace_digest_ = r.getU64();
-    line_errors_ = r.getU32Vector();
-    sp_faults_ = r.getU32Vector();
+    v.config("fault plan", plan_.describe());
+    for (Rng &stream : streams_)
+        v.state(stream.stateWords());
+    FaultCounters &c = counters_;
+    v.counter("sp_ecc_errors", c.sp_ecc_errors,
+              "injected scratchpad ECC errors");
+    v.counter("pisc_nacks", c.pisc_nacks, "injected PISC offload NACKs");
+    v.counter("xbar_drops", c.xbar_drops, "injected crossbar packet drops");
+    v.counter("xbar_delays", c.xbar_delays,
+              "injected crossbar packet delays");
+    v.counter("dram_stalls", c.dram_stalls, "injected DRAM channel stalls");
+    v.counter("retries", c.retries, "recovery retries performed");
+    v.counter("lost_updates", c.lost_updates,
+              "fire-and-forget updates lost (retries disabled)");
+    v.counter("degraded_atomics", c.degraded_atomics,
+              "atomics degraded to the cache path");
+    v.counter("lines_poisoned", c.lines_poisoned,
+              "scratchpad lines poisoned");
+    v.counter("sp_demotions", c.sp_demotions,
+              "scratchpads demoted to the cache path");
+    v.counter("refetches", c.refetches, "poisoned-line memory re-fetches");
+    v.counter("injected_delay_cycles", c.injected_delay_cycles,
+              "total injected latency");
+    v.custom(
+        [this](SnapshotWriter &w) {
+            w.putU64(events_.size());
+            for (const FaultEvent &e : events_) {
+                w.putU8(static_cast<std::uint8_t>(e.kind));
+                w.putU32(e.component);
+                w.putU32(e.vertex);
+                w.putU64(e.at);
+            }
+        },
+        [this](SnapshotReader &r) {
+            const std::uint64_t recorded = r.getCount(1 + 4 + 4 + 8);
+            if (recorded > kMaxRecordedEvents) {
+                throw SnapshotStateError(
+                    "snapshot: recorded fault trace exceeds its cap");
+            }
+            events_.clear();
+            events_.reserve(recorded);
+            for (std::uint64_t i = 0; i < recorded; ++i) {
+                FaultEvent e;
+                e.kind = static_cast<FaultKind>(r.getU8());
+                e.component = r.getU32();
+                e.vertex = r.getU32();
+                e.at = r.getU64();
+                events_.push_back(e);
+            }
+        });
+    v.state(total_events_);
+    v.state(trace_digest_);
+    v.state(line_errors_);
+    v.state(sp_faults_);
 }
 
 std::string
@@ -490,56 +465,36 @@ FaultInjector::summary() const
     return os.str();
 }
 
+namespace {
+
+/** Emits each counter a visit() names as one JSON field. */
+class JsonCounterWriter final : public FieldVisitor
+{
+  public:
+    explicit JsonCounterWriter(JsonWriter &w) : w_(w) {}
+
+    void
+    counter(const char *name, std::uint64_t &v, const char *) override
+    {
+        w_.field(name, v);
+    }
+
+  private:
+    JsonWriter &w_;
+};
+
+} // namespace
+
 void
 FaultInjector::writeJson(JsonWriter &w) const
 {
     w.beginObject();
     w.field("plan", plan_.describe());
     w.field("events", total_events_);
-    w.field("sp_ecc_errors", counters_.sp_ecc_errors);
-    w.field("pisc_nacks", counters_.pisc_nacks);
-    w.field("xbar_drops", counters_.xbar_drops);
-    w.field("xbar_delays", counters_.xbar_delays);
-    w.field("dram_stalls", counters_.dram_stalls);
-    w.field("retries", counters_.retries);
-    w.field("lost_updates", counters_.lost_updates);
-    w.field("degraded_atomics", counters_.degraded_atomics);
-    w.field("lines_poisoned", counters_.lines_poisoned);
-    w.field("sp_demotions", counters_.sp_demotions);
-    w.field("refetches", counters_.refetches);
-    w.field("injected_delay_cycles", counters_.injected_delay_cycles);
+    JsonCounterWriter counters(w);
+    const_cast<FaultInjector *>(this)->visit(counters);
     w.field("trace_digest", trace_digest_);
     w.endObject();
-}
-
-void
-FaultInjector::addStats(StatGroup &group) const
-{
-    group.addScalar("sp_ecc_errors", &counters_.sp_ecc_errors,
-                    "injected scratchpad ECC errors");
-    group.addScalar("pisc_nacks", &counters_.pisc_nacks,
-                    "injected PISC offload NACKs");
-    group.addScalar("xbar_drops", &counters_.xbar_drops,
-                    "injected crossbar packet drops");
-    group.addScalar("xbar_delays", &counters_.xbar_delays,
-                    "injected crossbar packet delays");
-    group.addScalar("dram_stalls", &counters_.dram_stalls,
-                    "injected DRAM channel stalls");
-    group.addScalar("retries", &counters_.retries,
-                    "recovery retries performed");
-    group.addScalar("lost_updates", &counters_.lost_updates,
-                    "fire-and-forget updates lost (retries disabled)");
-    group.addScalar("degraded_atomics", &counters_.degraded_atomics,
-                    "atomics degraded to the cache path");
-    group.addScalar("lines_poisoned", &counters_.lines_poisoned,
-                    "scratchpad lines poisoned");
-    group.addScalar("sp_demotions", &counters_.sp_demotions,
-                    "scratchpads demoted to the cache path");
-    group.addScalar("refetches", &counters_.refetches,
-                    "poisoned-line memory re-fetches");
-    group.addScalar("injected_delay_cycles",
-                    &counters_.injected_delay_cycles,
-                    "total injected latency");
 }
 
 } // namespace omega

@@ -38,14 +38,13 @@
 #include <vector>
 
 #include "graph/types.hh"
+#include "sim/field_visitor.hh"
 #include "sim/params.hh"
-#include "sim/snapshot.hh"
 #include "util/rng.hh"
 
 namespace omega {
 
 class JsonWriter;
-class StatGroup;
 
 /**
  * Completion sentinel of a lost fire-and-forget update: the busy-table
@@ -243,20 +242,13 @@ class FaultInjector
     std::string summary() const;
     /** Emit counters + digest as a JSON object (bench --json). */
     void writeJson(JsonWriter &w) const;
-    /** Register campaign counters in @p group. */
-    void addStats(StatGroup &group) const;
-
     /**
-     * @name Snapshot support.
-     * Every random stream, counter, the recorded event trace and the
-     * persistent-fault maps. The plan itself is serialized via its
-     * canonical describe() string and cross-checked on restore — resuming
-     * under a different campaign would silently change every later draw.
-     * @{
+     * The plan (config, as its canonical describe() string — resuming
+     * under a different campaign would silently change every later
+     * draw), every random stream, the counters, the recorded event trace
+     * and the persistent-fault maps.
      */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
-    /** @} */
+    void visit(FieldVisitor &v);
 
     /** Recorded-trace cap; see events(). */
     static constexpr std::size_t kMaxRecordedEvents = 1u << 16;

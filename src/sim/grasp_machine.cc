@@ -12,24 +12,7 @@ GraspMachine::GraspMachine(const MachineParams &params)
       policy_(std::make_unique<GraspPolicy>())
 {
     hierarchy_.setLlcPolicy(policy_.get());
-    // With no regions installed yet every line classifies as Other; the
-    // counters below point into the policy object, which never moves.
-    const GraspPolicyStats *s = policy_->statsPtr();
-    policy_group_.addScalar("hot_inserts", &s->hot_inserts,
-                            "LLC fills from hot property ranges");
-    policy_group_.addScalar("warm_inserts", &s->warm_inserts,
-                            "LLC fills from warm property ranges");
-    policy_group_.addScalar("cold_inserts", &s->cold_inserts,
-                            "LLC fills from cold property ranges");
-    policy_group_.addScalar("other_inserts", &s->other_inserts,
-                            "LLC fills outside monitored ranges");
-    policy_group_.addScalar("distant_inserts", &s->distant_inserts,
-                            "LLC fills at distant-reuse priority");
-    policy_group_.addScalar("promoted_hits", &s->promoted_hits,
-                            "LLC hits promoted to MRU");
-    policy_group_.addScalar("unpromoted_hits", &s->unpromoted_hits,
-                            "LLC hits left at their priority");
-    stats_root_.addChild(&policy_group_);
+    registerStats(stats_root_, *this);
 }
 
 void
@@ -41,32 +24,10 @@ GraspMachine::configure(const MachineConfig &config)
 }
 
 void
-GraspMachine::saveState(SnapshotWriter &w) const
+GraspMachine::visit(FieldVisitor &v)
 {
-    BaselineMachine::saveState(w);
-    const GraspPolicyStats &s = policy_->stats();
-    w.putU64(s.hot_inserts);
-    w.putU64(s.warm_inserts);
-    w.putU64(s.cold_inserts);
-    w.putU64(s.other_inserts);
-    w.putU64(s.distant_inserts);
-    w.putU64(s.promoted_hits);
-    w.putU64(s.unpromoted_hits);
-}
-
-void
-GraspMachine::restoreState(SnapshotReader &r)
-{
-    BaselineMachine::restoreState(r);
-    GraspPolicyStats s;
-    s.hot_inserts = r.getU64();
-    s.warm_inserts = r.getU64();
-    s.cold_inserts = r.getU64();
-    s.other_inserts = r.getU64();
-    s.distant_inserts = r.getU64();
-    s.promoted_hits = r.getU64();
-    s.unpromoted_hits = r.getU64();
-    policy_->restoreStats(s);
+    BaselineMachine::visit(v);
+    v.group("policy", *policy_);
 }
 
 } // namespace omega

@@ -43,16 +43,14 @@ class GraspMachine final : public BaselineMachine
 
     const GraspPolicy &policy() const { return *policy_; }
 
-    /** Base machine state plus the policy's decision counters (the
-     *  region map itself is re-derived by configure() on resume). */
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    /** Base machine fields plus the policy's decision counters
+     *  ("policy"). */
+    void visit(FieldVisitor &v) override;
 
   private:
     /** Owned by the machine, installed on the hierarchy's L2; must be
      *  heap-allocated so its address outlives stat registration. */
     std::unique_ptr<GraspPolicy> policy_;
-    StatGroup policy_group_{"policy"};
 };
 
 } // namespace omega

@@ -145,16 +145,23 @@ IntervalRecorder::restore(SnapshotReader &r)
     next_cadence_ = r.getU64();
     prev_cum_.restore(r);
     samples_.clear();
-    const std::uint64_t count = r.getU64();
+    // Counts are bounded by the bytes left before anything is reserved:
+    // a sample holds at least its t, kind, iteration and three counts.
+    const std::uint64_t count = r.getCount(8 + 1 + 8 + 3 * 8);
     samples_.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
         IntervalSample s;
         s.t = r.getU64();
-        s.kind = static_cast<SampleKind>(r.getU8());
+        const std::uint8_t kind = r.getU8();
+        if (kind > static_cast<std::uint8_t>(SampleKind::Final)) {
+            throw SnapshotStateError("snapshot: unknown interval sample "
+                                     "kind " + std::to_string(kind));
+        }
+        s.kind = static_cast<SampleKind>(kind);
         s.iteration = r.getU64();
         s.cum.restore(r);
         s.delta.restore(r);
-        const std::uint64_t cores = r.getU64();
+        const std::uint64_t cores = r.getCount(4 * 8);
         s.cores.reserve(cores);
         for (std::uint64_t c = 0; c < cores; ++c) {
             CoreIntervalStats core;

@@ -28,6 +28,7 @@ namespace omega {
 
 class AccessProfiler;
 class FaultInjector;
+class FieldVisitor;
 struct FaultPlan;
 class IntervalRecorder;
 class StatGroup;
@@ -186,36 +187,25 @@ class MemorySystem
     virtual AccessProfiler *profiler() { return nullptr; }
     /** @} */
 
-    /** @name Checkpoint/restore @{ */
     /**
-     * Serialize every word of mutable machine state — clocks, tile
-     * state, the spine (caches, crossbar, DRAM, scratchpads), counters
-     * and any armed fault injector. Only meaningful at an iteration
-     * boundary (cores drained through a barrier). Default: unsupported
-     * — a machine that does not override the pair cannot be
+     * Declare every counter and every word of mutable machine state —
+     * clocks, tile state, the spine (caches, crossbar, DRAM,
+     * scratchpads), counters and any armed fault injector — once, for
+     * the stat tree and for checkpoint save/restore (saveFields() /
+     * restoreFields() in sim/field_visitor.hh). A snapshot is only
+     * meaningful at an iteration boundary (cores drained through a
+     * barrier), and restore needs a machine already configured for the
+     * same run: configuration is re-derived on resume. Default:
+     * unsupported — a machine that does not override it cannot be
      * checkpointed.
      */
     virtual void
-    saveState(SnapshotWriter &w) const
+    visit(FieldVisitor &v)
     {
-        (void)w;
+        (void)v;
         throw SnapshotStateError("snapshot: machine \"" + name() +
                                  "\" does not support checkpointing");
     }
-    /**
-     * Inverse of saveState(). The machine must already be configured for
-     * the same run (same graph, same params) — configuration is re-derived
-     * on resume, only mutable state is restored. Throws SnapshotStateError
-     * when the serialized state does not fit this machine.
-     */
-    virtual void
-    restoreState(SnapshotReader &r)
-    {
-        (void)r;
-        throw SnapshotStateError("snapshot: machine \"" + name() +
-                                 "\" does not support checkpointing");
-    }
-    /** @} */
 
   protected:
     IntervalRecorder *recorder_ = nullptr;

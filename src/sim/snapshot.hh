@@ -88,8 +88,9 @@ class SnapshotStateError : public SnapshotError
 
 /** Current snapshot format version. Bump on any layout change.
  *  Version 2 dropped the per-run script-replay counters from machine
- *  sections and sweep-journal records. */
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+ *  sections and sweep-journal records. Version 3 lays machine sections
+ *  out in visit() order, which is the stat tree's order. */
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /** FNV-1a 64-bit over @p size bytes (the payload checksum). */
 std::uint64_t snapshotChecksum(const void *data, std::size_t size);
@@ -234,8 +235,7 @@ class SnapshotReader
     std::string
     getString()
     {
-        const std::uint64_t n = getU64();
-        need(n);
+        const std::uint64_t n = getCount(1);
         std::string s(reinterpret_cast<const char *>(buf_.data() + pos_),
                       n);
         pos_ += n;
@@ -245,8 +245,7 @@ class SnapshotReader
     std::vector<std::uint8_t>
     getByteVector()
     {
-        const std::uint64_t n = getU64();
-        need(n);
+        const std::uint64_t n = getCount(1);
         std::vector<std::uint8_t> v(buf_.begin() + pos_,
                                     buf_.begin() + pos_ + n);
         pos_ += n;
@@ -293,7 +292,6 @@ class SnapshotReader
     std::size_t position() const { return pos_; }
     std::size_t remaining() const { return buf_.size() - pos_; }
 
-  private:
     /**
      * Read an element count and reject it, before anything is allocated,
      * when the rest of the payload cannot hold that many @p elem_bytes
@@ -313,6 +311,7 @@ class SnapshotReader
         return n;
     }
 
+  private:
     void
     need(std::uint64_t n)
     {

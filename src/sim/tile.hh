@@ -15,6 +15,7 @@
 #define OMEGA_SIM_TILE_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "sim/core_model.hh"
 #include "sim/params.hh"
@@ -26,12 +27,31 @@ struct CoreTile
 {
     explicit CoreTile(const MachineParams &params) : core(params) {}
 
+    void
+    visit(FieldVisitor &v)
+    {
+        core.visit(v);
+        v.state(sparse_appends);
+    }
+
     CoreModel core;
     /** Sparse active-list appends attributed to this tile — the issuing
      *  core on the baseline, the home engine for OMEGA's PISC path
      *  (address generation for the interleaved append layout). */
     std::uint64_t sparse_appends = 0;
 };
+
+/** Every tile's TMAM buckets, for an interval sample. */
+template <typename Tile>
+std::vector<CoreIntervalStats>
+coreIntervals(const std::vector<Tile> &tiles)
+{
+    std::vector<CoreIntervalStats> out;
+    out.reserve(tiles.size());
+    for (const Tile &tile : tiles)
+        out.push_back(tile.core.intervalStats());
+    return out;
+}
 
 } // namespace omega
 

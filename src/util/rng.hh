@@ -11,6 +11,7 @@
 #define OMEGA_UTIL_RNG_HH
 
 #include <cstdint>
+#include <span>
 
 namespace omega {
 
@@ -49,20 +50,8 @@ class Rng
     /** Geometric-ish power-law exponent sample helper: x^(-alpha) tail. */
     double nextPareto(double alpha, double x_min);
 
-    /** @name Snapshot support: the raw xoshiro256** state words. @{ */
-    void
-    exportState(std::uint64_t out[4]) const
-    {
-        for (int i = 0; i < 4; ++i)
-            out[i] = s_[i];
-    }
-    void
-    importState(const std::uint64_t in[4])
-    {
-        for (int i = 0; i < 4; ++i)
-            s_[i] = in[i];
-    }
-    /** @} */
+    /** The raw xoshiro256** state words (snapshot support). */
+    std::span<std::uint64_t, 4> stateWords() { return s_; }
 
   private:
     std::uint64_t s_[4];

@@ -183,6 +183,14 @@ StatGroup::addChild(StatGroup *child)
     children_.push_back(child);
 }
 
+StatGroup &
+StatGroup::addGroup(const std::string &name)
+{
+    owned_.push_back(std::make_unique<StatGroup>(name));
+    addChild(owned_.back().get());
+    return *owned_.back();
+}
+
 double
 StatGroup::entryValue(const Entry &e) const
 {

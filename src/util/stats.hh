@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -116,7 +117,8 @@ class Histogram
  *
  * Components own their counters directly (for speed) and register pointers
  * here for reporting. The group does not own registered objects; their
- * lifetime must cover the group's dump calls.
+ * lifetime must cover the group's dump calls. Child groups made with
+ * addGroup() are owned by their parent.
  *
  * Registering two entries (or two children) under the same name in one
  * group is a hard error: silently shadowing a counter would corrupt every
@@ -140,6 +142,8 @@ class StatGroup
                       const std::string &desc = "");
     /** Attach a child group. */
     void addChild(StatGroup *child);
+    /** Create, attach and own a child group named @p name. */
+    StatGroup &addGroup(const std::string &name);
 
     const std::string &name() const { return name_; }
 
@@ -169,6 +173,7 @@ class StatGroup
     std::string name_;
     std::map<std::string, Entry> entries_;
     std::vector<StatGroup *> children_;
+    std::vector<std::unique_ptr<StatGroup>> owned_;
 };
 
 } // namespace omega

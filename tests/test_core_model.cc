@@ -218,12 +218,13 @@ TEST(CoreModel, RestoreRejectsWindowLongerThanMshrs)
                                   std::uint64_t{1} << 20}) {
         CoreModel c(p);
         SnapshotReader r(snapshotWithWindow(n));
-        EXPECT_THROW(c.restore(r), SnapshotStateError) << n << " entries";
+        EXPECT_THROW(restoreFields(r, c), SnapshotStateError)
+            << n << " entries";
     }
     // A full window is legal.
     CoreModel c(p);
     SnapshotReader r(snapshotWithWindow(p.mshrs));
-    c.restore(r);
+    restoreFields(r, c);
     EXPECT_EQ(r.remaining(), 0u);
     EXPECT_EQ(c.now(), 1000u);
     c.issueMemory(50, false); // full: waits for the saved misses
@@ -243,13 +244,13 @@ TEST(CoreModel, SnapshotRoundTripsWindowCapturedMidStall)
     }
     ASSERT_GT(a.memStallCycles(), 0u);
     SnapshotWriter w;
-    a.save(w);
+    saveFields(w, a);
     CoreModel b(params(4, 4));
     SnapshotReader r(w.bytes());
-    b.restore(r);
+    restoreFields(r, b);
     EXPECT_EQ(r.remaining(), 0u);
     SnapshotWriter again;
-    b.save(again);
+    saveFields(again, b);
     EXPECT_EQ(w.bytes(), again.bytes());
     for (int i = 0; i < 40; ++i) {
         const Cycles lat = 5 + static_cast<Cycles>(i * 37 % 250);

@@ -15,9 +15,13 @@
  *  3. The resume contract: for every registered machine, interrupting
  *     a run at an arbitrary iteration boundary (via the coordinator's
  *     test hook), then restoring the flushed checkpoint into a fresh
- *     machine and re-entering the loop, must reproduce the
- *     uninterrupted run's digest — cycles and the complete stat tree —
- *     bit for bit.
+ *     machine — or a dirty one that ran another workload first — and
+ *     re-entering the loop, must reproduce the uninterrupted run's
+ *     digest — cycles and the complete stat tree — bit for bit.
+ *
+ * Last, the machine payloads are pinned per registry machine, and
+ * corrupt counts in the interval recorder and the scratchpad busy table
+ * are rejected before anything is allocated for them.
  */
 
 #include <gtest/gtest.h>
@@ -32,8 +36,11 @@
 #include "algorithms/bfs.hh"
 #include "algorithms/components.hh"
 #include "algorithms/pagerank.hh"
+#include "omega/scratchpad_controller.hh"
 #include "sim/checkpoint.hh"
 #include "sim/fault.hh"
+#include "sim/field_visitor.hh"
+#include "sim/interval_stats.hh"
 #include "sim/machine_registry.hh"
 #include "sim/snapshot.hh"
 #include "testing/fuzz.hh"
@@ -222,19 +229,23 @@ TEST(SnapshotFile, VersionBumpIsVersionError)
     std::remove(path.c_str());
 }
 
-TEST(SnapshotFile, VersionOneFileIsVersionError)
+TEST(SnapshotFile, OlderVersionFilesAreVersionErrors)
 {
     // Version 2 dropped the script-replay counters from machine sections
-    // and journal records; a version-1 file (same framing, old layout)
-    // is refused before any payload byte is decoded.
-    ASSERT_EQ(kSnapshotVersion, 2u);
-    const std::string path = writeSampleFile("version1.snap");
-    auto bytes = slurpBytes(path);
-    bytes[8] = 1; // version u32, little-endian, at bytes [8, 12)
-    bytes[9] = bytes[10] = bytes[11] = 0;
-    spewBytes(path, bytes);
-    EXPECT_THROW(readSnapshotFile(path), SnapshotVersionError);
-    std::remove(path.c_str());
+    // and journal records; version 3 lays machine sections out in
+    // visit() order. An older file (same framing, old layout) is refused
+    // before any payload byte is decoded.
+    ASSERT_EQ(kSnapshotVersion, 3u);
+    for (const std::uint8_t version : {1, 2}) {
+        const std::string path = writeSampleFile("old_version.snap");
+        auto bytes = slurpBytes(path);
+        bytes[8] = static_cast<char>(version); // u32 LE at [8, 12)
+        bytes[9] = bytes[10] = bytes[11] = 0;
+        spewBytes(path, bytes);
+        EXPECT_THROW(readSnapshotFile(path), SnapshotVersionError)
+            << "version " << unsigned{version};
+        std::remove(path.c_str());
+    }
 }
 
 TEST(SnapshotFile, TruncationIsTruncatedError)
@@ -349,14 +360,36 @@ makeMachine(const std::string &name)
 }
 
 /**
+ * Run a different algorithm on a different graph on @p m, so a restore
+ * into it lands on stale state everywhere: BFS on a road mesh before a
+ * PageRank resume, PageRank before anything else.
+ */
+void
+dirtyMachine(MemorySystem *m, AlgorithmKind resumed)
+{
+    if (resumed == AlgorithmKind::PageRank) {
+        const Graph mesh = FuzzSpec{FuzzFamily::RoadMesh, 5, 196, 4, true}
+                               .materialize();
+        runAlgo(AlgorithmKind::BFS, mesh, m, nullptr);
+    } else {
+        const Graph rmat = FuzzSpec{FuzzFamily::Rmat, 19, 192, 6, true}
+                               .materialize();
+        runAlgo(AlgorithmKind::PageRank, rmat, m, nullptr);
+    }
+}
+
+/**
  * Interrupt @p algo on @p machine at iteration @p stop (test hook: no
  * signals, but the identical coordinator code path), then restore the
- * flushed checkpoint into a fresh machine and run to completion.
- * Returns the resumed machine's digest.
+ * flushed checkpoint and run to completion. The restore goes into a
+ * fresh machine, or with @p dirty into one that first ran another
+ * workload (dirtyMachine()): any mutable member the machine's visit()
+ * misses then leaks into the resumed run. Returns the resumed machine's
+ * digest.
  */
 std::uint64_t
 interruptAndResumeDigest(const Graph &g, const std::string &machine,
-                         AlgorithmKind algo, std::uint64_t stop)
+                         AlgorithmKind algo, std::uint64_t stop, bool dirty)
 {
     const std::string path = ::testing::TempDir() + "resume_" + machine +
                              "_" + std::to_string(stop) + ".snap";
@@ -376,8 +409,10 @@ interruptAndResumeDigest(const Graph &g, const std::string &machine,
     resume.setResumePayload(readSnapshotFile(path));
     EXPECT_TRUE(resume.resumePending());
     EXPECT_EQ(resume.resumeRunKey(), key);
-    resume.beginRun(key);
     auto m = makeMachine(machine);
+    if (dirty)
+        dirtyMachine(m.get(), algo);
+    resume.beginRun(key);
     runAlgo(algo, g, m.get(), &resume);
     EXPECT_FALSE(resume.resumePending()) << "resume never consumed";
     EXPECT_EQ(resume.restoredIteration(), stop);
@@ -393,13 +428,15 @@ TEST(SnapshotResume, PageRankResumeMatchesUninterruptedOnEveryMachine)
         auto ref = makeMachine(machine);
         runAlgo(AlgorithmKind::PageRank, g, ref.get(), nullptr);
         const std::uint64_t uninterrupted = machineDigest(*ref);
-        for (const std::uint64_t stop : {1u, 2u, 3u}) {
-            EXPECT_EQ(interruptAndResumeDigest(g, machine,
-                                               AlgorithmKind::PageRank,
-                                               stop),
-                      uninterrupted)
-                << machine << " diverged after resume from iteration "
-                << stop;
+        for (const bool dirty : {false, true}) {
+            for (const std::uint64_t stop : {1u, 2u, 3u}) {
+                EXPECT_EQ(interruptAndResumeDigest(g, machine,
+                                                   AlgorithmKind::PageRank,
+                                                   stop, dirty),
+                          uninterrupted)
+                    << machine << (dirty ? " (dirty)" : "")
+                    << " diverged after resume from iteration " << stop;
+            }
         }
     }
 }
@@ -425,12 +462,16 @@ TEST(SnapshotResume, BfsResumeMatchesUninterruptedOnEveryMachine)
             auto ref = makeMachine(machine);
             runAlgo(AlgorithmKind::BFS, g, ref.get(), nullptr);
             const std::uint64_t uninterrupted = machineDigest(*ref);
-            for (const std::uint64_t stop : c.stops) {
-                EXPECT_EQ(interruptAndResumeDigest(g, machine,
-                                                   AlgorithmKind::BFS, stop),
-                          uninterrupted)
-                    << machine << " / " << c.spec.describe()
-                    << " diverged after resume from iteration " << stop;
+            for (const bool dirty : {false, true}) {
+                for (const std::uint64_t stop : c.stops) {
+                    EXPECT_EQ(interruptAndResumeDigest(
+                                  g, machine, AlgorithmKind::BFS, stop,
+                                  dirty),
+                              uninterrupted)
+                        << machine << (dirty ? " (dirty)" : "") << " / "
+                        << c.spec.describe()
+                        << " diverged after resume from iteration " << stop;
+                }
             }
         }
     }
@@ -563,6 +604,149 @@ TEST(SnapshotResume, UnarmedFaultMachineRejectsArmedSnapshot)
     EXPECT_THROW(runAlgo(AlgorithmKind::BFS, g, m.get(), &resume),
                  SnapshotStateError);
     std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Layout pins and restore hardening.
+// ---------------------------------------------------------------------
+
+TEST(SnapshotLayout, MachinePayloadsArePinned)
+{
+    // The machine section after a fixed 2-iteration PageRank, per
+    // registry machine. Any change to a component's visit() order or
+    // encoding moves a pin — and must bump kSnapshotVersion.
+    const Graph g = FuzzSpec{FuzzFamily::Rmat, 7, 256, 8, true}
+                        .materialize();
+    const std::vector<std::pair<std::string, std::uint64_t>> pins = {
+        {"baseline", 0x64c33e9b9c77bda5ull},
+        {"grasp", 0xb382369f1cf99321ull},
+        {"omega", 0x9ec0bf5fca3e1bd8ull},
+        {"omega-sp-only", 0x775149dcffe742feull},
+    };
+    for (const auto &[machine, pin] : pins) {
+        auto m = makeMachine(machine);
+        runPageRank(g, m.get(), /*max_iters=*/2, 0.85, 0.0, EngineOptions{});
+        SnapshotWriter w;
+        saveFields(w, *m);
+        EXPECT_EQ(snapshotChecksum(w.bytes().data(), w.size()), pin)
+            << machine << " payload layout moved";
+    }
+}
+
+void
+patchU64(std::vector<std::uint8_t> &bytes, std::size_t at, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+std::uint64_t
+readU64At(const std::vector<std::uint8_t> &bytes, std::size_t at)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(bytes[at + i]) << (8 * i);
+    return v;
+}
+
+/** A saved recorder with one sample of one core row, and the offsets of
+ *  its sample count, the sample's kind byte and its core count. */
+struct RecorderPayload
+{
+    std::vector<std::uint8_t> bytes;
+    std::size_t samples_at = 0;
+    std::size_t kind_at = 0;
+    std::size_t cores_at = 0;
+};
+
+RecorderPayload
+savedRecorder()
+{
+    IntervalRecorder rec(100);
+    StatsReport cum;
+    cum.cycles = 150;
+    rec.take(SampleKind::Cadence, 150, 1, cum, {CoreIntervalStats{1, 2, 3, 4}});
+    SnapshotWriter w;
+    rec.save(w);
+    SnapshotWriter report;
+    StatsReport{}.save(report);
+    RecorderPayload out;
+    out.bytes = w.bytes();
+    out.samples_at = 16 + report.size(); // cadence, next cadence, prev
+    out.kind_at = out.samples_at + 16;   // count, t
+    out.cores_at = out.kind_at + 9 + 2 * report.size(); // kind, it, cum, delta
+    return out;
+}
+
+TEST(IntervalRecorderSnapshot, HugeCountsAreTruncatedNotAllocated)
+{
+    const RecorderPayload saved = savedRecorder();
+    {
+        IntervalRecorder rec(100);
+        SnapshotReader r(saved.bytes);
+        rec.restore(r);
+        EXPECT_EQ(r.remaining(), 0u);
+        ASSERT_EQ(rec.samples().size(), 1u);
+        EXPECT_EQ(rec.samples()[0].cores.size(), 1u);
+    }
+    for (const std::size_t at : {saved.samples_at, saved.cores_at}) {
+        ASSERT_EQ(readU64At(saved.bytes, at), 1u) << "offset " << at;
+        for (const std::uint64_t n : {std::uint64_t{1} << 40,
+                                      std::uint64_t{1} << 62}) {
+            std::vector<std::uint8_t> bytes = saved.bytes;
+            patchU64(bytes, at, n);
+            IntervalRecorder rec(100);
+            SnapshotReader r(bytes);
+            EXPECT_THROW(rec.restore(r), SnapshotTruncatedError)
+                << "count " << n << " at offset " << at;
+        }
+    }
+}
+
+TEST(IntervalRecorderSnapshot, UnknownSampleKindIsStateError)
+{
+    RecorderPayload saved = savedRecorder();
+    ASSERT_EQ(saved.bytes[saved.kind_at],
+              static_cast<std::uint8_t>(SampleKind::Cadence));
+    saved.bytes[saved.kind_at] =
+        static_cast<std::uint8_t>(SampleKind::Final) + 1;
+    IntervalRecorder rec(100);
+    SnapshotReader r(saved.bytes);
+    EXPECT_THROW(rec.restore(r), SnapshotStateError);
+}
+
+TEST(ScratchpadControllerSnapshot, BusyVertexOutsideTheRunIsStateError)
+{
+    // 64 vertices, the first 32 resident in 4 scratchpads.
+    const auto configured = [] {
+        ScratchpadController c(4, 8);
+        PropSpec p;
+        p.start_addr = 0x1000;
+        p.count = 64;
+        c.configure({p}, 32);
+        return c;
+    };
+    ScratchpadController busy = configured();
+    busy.beginAtomic(5, 100, 50);
+    SnapshotWriter w;
+    saveFields(w, busy);
+    // The one busy entry's vertex id: after the memo row (count + 4
+    // slots), the slow-lookup and conflict counters and the entry count.
+    const std::size_t vertex_at = 8 + 4 * 4 + 8 + 8 + 8;
+    ASSERT_EQ(readU64At(w.bytes(), vertex_at - 8), 1u);
+    for (const std::uint32_t vertex : {64u, 0xFFFFFFFFu}) {
+        std::vector<std::uint8_t> bytes = w.bytes();
+        for (int i = 0; i < 4; ++i)
+            bytes[vertex_at + i] = static_cast<std::uint8_t>(vertex >> (8 * i));
+        ScratchpadController c = configured();
+        SnapshotReader r(bytes);
+        EXPECT_THROW(restoreFields(r, c), SnapshotStateError) << vertex;
+    }
+    ScratchpadController c = configured();
+    SnapshotReader r(w.bytes());
+    restoreFields(r, c);
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_TRUE(c.isVertexBusy(5, 120));
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 #include "sim/coherence.hh"
 #include "sim/core_model.hh"
 #include "util/rng.hh"
+#include "util/thread_pool.hh"
 
 namespace {
 
@@ -117,32 +118,51 @@ BM_SvbLookup(benchmark::State &state)
 }
 BENCHMARK(BM_SvbLookup);
 
+/**
+ * Args: scale, chunk count. Wall time, since chunks run on their own
+ * threads; scale 16 runs at 1 chunk and at the host's core count.
+ */
 void
 BM_RmatGeneration(benchmark::State &state)
 {
+    const auto scale = static_cast<unsigned>(state.range(0));
+    const auto chunks = static_cast<unsigned>(state.range(1));
     for (auto _ : state) {
         Rng rng(5);
-        auto edges = generateRmat(
-            static_cast<unsigned>(state.range(0)), 8, rng);
+        auto edges = generateRmat(scale, 8, rng, RmatParams{}, chunks);
         benchmark::DoNotOptimize(edges.data());
     }
-    state.SetItemsProcessed(state.iterations() *
-                            (1ll << state.range(0)) * 8);
+    state.SetItemsProcessed(state.iterations() * (1ll << scale) * 8);
 }
-BENCHMARK(BM_RmatGeneration)->Arg(10)->Arg(14);
+BENCHMARK(BM_RmatGeneration)
+    ->Args({10, 1})
+    ->Args({14, 1})
+    ->Args({16, 1})
+    ->Args({16, ThreadPool::hardwareJobs()})
+    ->UseRealTime();
 
+/**
+ * Args: scale, chunk count. Wall time, since chunks run on their own
+ * threads; scale 16 runs at 1 chunk and at the host's core count.
+ */
 void
 BM_CsrBuild(benchmark::State &state)
 {
+    const auto scale = static_cast<unsigned>(state.range(0));
+    const auto chunks = static_cast<unsigned>(state.range(1));
     Rng rng(6);
-    auto edges = generateRmat(12, 8, rng);
+    const EdgeList edges = generateRmat(scale, 8, rng);
     for (auto _ : state) {
-        auto g = buildGraph(1 << 12, edges);
+        auto g = buildGraph(VertexId(1) << scale, edges, {}, chunks);
         benchmark::DoNotOptimize(g.numArcs());
     }
     state.SetItemsProcessed(state.iterations() * edges.size());
 }
-BENCHMARK(BM_CsrBuild);
+BENCHMARK(BM_CsrBuild)
+    ->Args({12, 1})
+    ->Args({16, 1})
+    ->Args({16, ThreadPool::hardwareJobs()})
+    ->UseRealTime();
 
 void
 BM_ReorderNthElement(benchmark::State &state)

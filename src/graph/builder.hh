@@ -30,9 +30,20 @@ struct BuildOptions
  * @param edges the arcs (directed). For symmetrize=true each undirected
  *              edge may appear once; the builder mirrors it.
  * @param opts construction options.
+ *
+ * Above kParallelSetupEdges edges the work is split over the host's
+ * cores; the arrays are the same bytes either way.
  */
 Graph buildGraph(VertexId num_vertices, EdgeList edges,
                  const BuildOptions &opts = {});
+
+/**
+ * buildGraph split into @p chunks contiguous input chunks, run on up to
+ * @p chunks threads. The result does not depend on @p chunks. The arc
+ * count (edges, doubled when symmetrizing) must stay below 2^32.
+ */
+Graph buildGraph(VertexId num_vertices, EdgeList edges,
+                 const BuildOptions &opts, unsigned chunks);
 
 } // namespace omega
 

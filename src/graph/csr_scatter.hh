@@ -1,40 +1,34 @@
 /**
  * @file
- * Counting-sort building blocks shared by buildGraph and
- * Graph::renumbered.
+ * The transpose scatter of Graph::renumbered, and the size from which
+ * graph setup runs on every host core.
  *
- * A CSR direction is filled by scatter: per-row counts become row starts
- * and the starts serve as fill cursors, so no separate cursor array is
- * needed. Rows filled in neighbor order need no per-row sort.
+ * A CSR direction is filled by scatter: each arc lands at its row's fill
+ * cursor, so rows filled in neighbor order need no per-row sort.
  */
 
 #ifndef OMEGA_GRAPH_CSR_SCATTER_HH
 #define OMEGA_GRAPH_CSR_SCATTER_HH
 
-#include <algorithm>
-#include <numeric>
-#include <vector>
+#include <cstddef>
 
 #include "graph/types.hh"
+#include "util/thread_pool.hh"
 
 namespace omega {
 
-/** Turn per-row counts held at offsets[v + 1] into row starts. */
-inline void
-countsToStarts(std::vector<EdgeId> &offsets)
-{
-    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
-}
-
 /**
- * After a scatter that used offsets[v] as row v's fill cursor, offsets[v]
- * holds where row v ends. Shift the array back into CSR offsets.
+ * Graph setup (R-MAT generation, CSR build, renumbering) splits its work
+ * over ThreadPool::hardwareJobs() chunks from this many edges on; below
+ * it, one chunk runs on the calling thread.
  */
-inline void
-cursorsToOffsets(std::vector<EdgeId> &offsets)
+inline constexpr std::size_t kParallelSetupEdges = std::size_t(1) << 19;
+
+/** The chunk count graph setup uses for @p edges edges. */
+inline unsigned
+setupChunks(std::size_t edges)
 {
-    std::copy_backward(offsets.begin(), offsets.end() - 1, offsets.end());
-    offsets.front() = 0;
+    return edges >= kParallelSetupEdges ? ThreadPool::hardwareJobs() : 1u;
 }
 
 /**

@@ -6,48 +6,88 @@
 #include "graph/generators.hh"
 
 #include <algorithm>
+#include <bit>
 
+#include "graph/csr_scatter.hh"
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 
 namespace omega {
+
+namespace {
+
+/** One R-MAT edge: 2 * scale draws for the quadrants, one for the weight. */
+Edge
+rmatEdge(unsigned scale, Rng &rng, const RmatParams &params, double d)
+{
+    VertexId src = 0;
+    VertexId dst = 0;
+    for (unsigned level = 0; level < scale; ++level) {
+        // Perturb quadrant probabilities slightly per level so the
+        // degree sequence is smoother (standard R-MAT noise trick).
+        const double noise = 0.9 + 0.2 * rng.nextDouble();
+        const double a = params.a * noise;
+        const double ab = a + params.b;
+        const double abc = ab + params.c;
+        const double norm = abc + d;
+        const double r = rng.nextDouble() * norm;
+        // Quadrants in order a | b | c | d: the source bit is set in c
+        // and d, the destination bit in b and d. Computed without
+        // branches, since r lands in each quadrant unpredictably.
+        src = (src << 1) | VertexId(r >= ab);
+        dst = (dst << 1) | (VertexId(r >= a) & VertexId(r < ab)) |
+              VertexId(r >= abc);
+    }
+    const auto w = static_cast<std::int32_t>(
+        1 + rng.nextBounded(static_cast<std::uint64_t>(params.max_weight)));
+    return Edge{src, dst, w};
+}
+
+} // namespace
 
 EdgeList
 generateRmat(unsigned scale, unsigned edge_factor, Rng &rng,
              const RmatParams &params)
 {
+    // min() keeps the shift defined for a scale the chunked form rejects.
+    const EdgeId m = (EdgeId(1) << std::min(scale, 31u)) * edge_factor;
+    return generateRmat(scale, edge_factor, rng, params, setupChunks(m));
+}
+
+EdgeList
+generateRmat(unsigned scale, unsigned edge_factor, Rng &rng,
+             const RmatParams &params, unsigned chunks)
+{
     omega_assert(scale > 0 && scale < 31, "rmat scale out of range");
     const double d = 1.0 - params.a - params.b - params.c;
     omega_assert(d > 0.0, "rmat quadrant probabilities must sum below 1");
+    omega_assert(chunks > 0, "generateRmat needs at least one chunk");
 
     const VertexId n = VertexId(1) << scale;
     const EdgeId m = static_cast<EdgeId>(n) * edge_factor;
-    EdgeList edges;
-    edges.reserve(m);
 
-    for (EdgeId i = 0; i < m; ++i) {
-        VertexId src = 0;
-        VertexId dst = 0;
-        for (unsigned level = 0; level < scale; ++level) {
-            // Perturb quadrant probabilities slightly per level so the
-            // degree sequence is smoother (standard R-MAT noise trick).
-            const double noise = 0.9 + 0.2 * rng.nextDouble();
-            const double a = params.a * noise;
-            const double ab = a + params.b;
-            const double abc = ab + params.c;
-            const double norm = abc + d;
-            const double r = rng.nextDouble() * norm;
-            // Quadrants in order a | b | c | d: the source bit is set in
-            // c and d, the destination bit in b and d. Computed without
-            // branches, since r lands in each quadrant unpredictably.
-            src = (src << 1) | VertexId(r >= ab);
-            dst = (dst << 1) |
-                  (VertexId(r >= a) & VertexId(r < ab)) | VertexId(r >= abc);
-        }
-        const auto w = static_cast<std::int32_t>(
-            1 + rng.nextBounded(static_cast<std::uint64_t>(
-                    params.max_weight)));
-        edges.push_back(Edge{src, dst, w});
+    // A power-of-two weight bound never makes nextBounded redraw, so
+    // every edge takes exactly 2 * scale + 1 draws and chunk c can jump
+    // straight to its first edge's draws.
+    if (chunks == 1 || params.max_weight <= 0 ||
+        !std::has_single_bit(static_cast<std::uint32_t>(params.max_weight))) {
+        EdgeList edges;
+        edges.reserve(m);
+        for (EdgeId i = 0; i < m; ++i)
+            edges.push_back(rmatEdge(scale, rng, params, d));
+        return edges;
     }
+    const std::uint64_t draws = 2 * std::uint64_t(scale) + 1;
+    EdgeList edges(m);
+    parallelFor(chunks, chunks, [&](std::size_t c) {
+        const EdgeId begin = m * c / chunks;
+        const EdgeId end = m * (c + 1) / chunks;
+        Rng chunk_rng = rng;
+        chunk_rng.advance(begin * draws);
+        for (EdgeId i = begin; i < end; ++i)
+            edges[i] = rmatEdge(scale, chunk_rng, params, d);
+    });
+    rng.advance(m * draws);
     return edges;
 }
 

@@ -35,9 +35,23 @@ struct RmatParams
  * @param edge_factor arcs per vertex.
  * @param rng random source.
  * @param params quadrant probabilities.
+ *
+ * From kParallelSetupEdges arcs on, and with a power-of-two max_weight,
+ * the arcs are drawn on every host core; the list and the final state of
+ * @p rng are those of the sequential draw either way.
  */
 EdgeList generateRmat(unsigned scale, unsigned edge_factor, Rng &rng,
                       const RmatParams &params = {});
+
+/**
+ * generateRmat split into @p chunks contiguous runs of arcs, each on its
+ * own thread starting from a jumped-ahead copy of @p rng. The result and
+ * the final @p rng state do not depend on @p chunks. A max_weight that
+ * is not a power of two makes the draw count per arc vary, so it always
+ * draws sequentially.
+ */
+EdgeList generateRmat(unsigned scale, unsigned edge_factor, Rng &rng,
+                      const RmatParams &params, unsigned chunks);
 
 /**
  * Generate a Barabasi-Albert preferential-attachment graph (undirected

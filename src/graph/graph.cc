@@ -9,6 +9,7 @@
 
 #include "graph/csr_scatter.hh"
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 
 namespace omega {
 
@@ -84,6 +85,12 @@ Graph::permuted(const std::vector<VertexId> &perm) const
 Graph
 Graph::renumbered(const std::vector<VertexId> &order) const
 {
+    return renumbered(order, setupChunks(numArcs()));
+}
+
+Graph
+Graph::renumbered(const std::vector<VertexId> &order, unsigned jobs) const
+{
     const VertexId n = num_vertices_;
     omega_assert(order.size() == n, "ordering size mismatch");
 
@@ -108,17 +115,24 @@ Graph::renumbered(const std::vector<VertexId> &order) const
     // in ascending order through the opposite direction's rows fills
     // every row sorted by neighbor, with parallel arcs in the weight
     // order their source row kept, so no row needs sorting afterwards.
+    // The two directions share nothing they write, so they fill
+    // concurrently.
     std::vector<VertexId> out_nbr(out_neighbors_.size());
     std::vector<std::int32_t> out_w(out_weights_.size());
     std::vector<VertexId> in_nbr(in_neighbors_.size());
     std::vector<std::int32_t> in_w(in_weights_.size());
     auto old_id = [&order](VertexId k) { return order[k]; };
-    scatterTransposed(n, in_offsets_.data(), in_neighbors_.data(),
-                      in_weights_.data(), old_id, out_off.data(),
-                      out_nbr.data(), out_w.data());
-    scatterTransposed(n, out_offsets_.data(), out_neighbors_.data(),
-                      out_weights_.data(), old_id, in_off.data(),
-                      in_nbr.data(), in_w.data());
+    parallelFor(2, jobs, [&](std::size_t direction) {
+        if (direction == 0) {
+            scatterTransposed(n, in_offsets_.data(), in_neighbors_.data(),
+                              in_weights_.data(), old_id, out_off.data(),
+                              out_nbr.data(), out_w.data());
+        } else {
+            scatterTransposed(n, out_offsets_.data(), out_neighbors_.data(),
+                              out_weights_.data(), old_id, in_off.data(),
+                              in_nbr.data(), in_w.data());
+        }
+    });
 
     // The cursors are spent; lay the offsets down in new-id order.
     out_off[0] = 0;

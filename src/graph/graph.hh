@@ -117,6 +117,14 @@ class Graph
      */
     Graph renumbered(const std::vector<VertexId> &order) const;
 
+    /**
+     * renumbered() with its two directions filled on up to @p jobs
+     * threads; the one-argument form uses two from kParallelSetupEdges
+     * arcs on. The result does not depend on @p jobs.
+     */
+    Graph renumbered(const std::vector<VertexId> &order,
+                     unsigned jobs) const;
+
     /** Recover an edge list (arcs) from the out-CSR. */
     EdgeList toEdgeList() const;
 

@@ -5,6 +5,7 @@
 
 #include "util/rng.hh"
 
+#include <bit>
 #include <cmath>
 
 namespace omega {
@@ -48,6 +49,68 @@ Rng::next()
     s_[2] ^= t;
     s_[3] = rotl(s_[3], 45);
     return result;
+}
+
+namespace {
+
+/** p * x mod P. */
+Rng::Poly
+timesX(const Rng::Poly &p)
+{
+    const bool carry = (p[3] >> 63) != 0;
+    Rng::Poly r = {p[0] << 1, (p[1] << 1) | (p[0] >> 63),
+                   (p[2] << 1) | (p[1] >> 63), (p[3] << 1) | (p[2] >> 63)};
+    if (carry) {
+        for (int w = 0; w < 4; ++w)
+            r[w] ^= Rng::kCharPoly[w];
+    }
+    return r;
+}
+
+bool
+coefficient(const Rng::Poly &p, unsigned i)
+{
+    return ((p[i / 64] >> (i % 64)) & 1) != 0;
+}
+
+} // namespace
+
+Rng::Poly
+Rng::mulModP(const Poly &a, const Poly &b)
+{
+    // Horner's rule from a's top coefficient down.
+    Poly r = {};
+    for (unsigned i = 256; i-- > 0;) {
+        r = timesX(r);
+        if (coefficient(a, i)) {
+            for (int w = 0; w < 4; ++w)
+                r[w] ^= b[w];
+        }
+    }
+    return r;
+}
+
+void
+Rng::advance(std::uint64_t n)
+{
+    // q = x^n mod P by square-and-multiply from n's top bit; multiplying
+    // by x is a shift.
+    Poly q = {1, 0, 0, 0};
+    for (unsigned bit = std::bit_width(n); bit-- > 0;) {
+        q = mulModP(q, q);
+        if ((n >> bit) & 1)
+            q = timesX(q);
+    }
+    std::uint64_t acc[4] = {0, 0, 0, 0};
+    for (unsigned i = 0; i < 256; ++i) {
+        if (coefficient(q, i)) {
+            for (int w = 0; w < 4; ++w)
+                acc[w] ^= s_[w];
+        }
+        next();
+    }
+    for (int w = 0; w < 4; ++w)
+        s_[w] = acc[w];
 }
 
 std::uint64_t

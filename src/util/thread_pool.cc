@@ -5,6 +5,8 @@
 
 #include "util/thread_pool.hh"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <exception>
@@ -80,6 +82,14 @@ ThreadPool::workerLoop()
 unsigned
 ThreadPool::hardwareJobs()
 {
+    // hardware_concurrency() counts the machine's CPUs, not the ones this
+    // process may run on (taskset, cgroup cpusets).
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+        const int n = CPU_COUNT(&set);
+        if (n > 0)
+            return static_cast<unsigned>(n);
+    }
     return std::max(1u, std::thread::hardware_concurrency());
 }
 

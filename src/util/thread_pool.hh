@@ -52,8 +52,10 @@ class ThreadPool
     }
 
     /**
-     * The machine's natural job count: std::thread::hardware_concurrency
-     * with a floor of 1 (the standard allows it to report 0).
+     * The machine's natural job count: the CPUs in this process's
+     * affinity mask, or std::thread::hardware_concurrency (floored at 1,
+     * since the standard allows it to report 0) where the mask cannot be
+     * read.
      */
     static unsigned hardwareJobs();
 

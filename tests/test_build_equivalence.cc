@@ -7,8 +7,10 @@
  * formulations kept below as references: every offset, neighbor and
  * weight. Inputs cover every FuzzSpec shape, including dirty edge lists
  * with duplicates and self loops, all eight BuildOptions combinations,
- * zero- and one-vertex graphs, and every ReorderKind. The R-MAT edge list
- * is pinned by hash, so the generator's quadrant selection stays
+ * zero- and one-vertex graphs, and every ReorderKind. The chunked
+ * kernels (buildGraph, renumbered and generateRmat split over threads)
+ * must give the same bytes at every chunk count. The R-MAT edge list is
+ * pinned by hash, so the generator's quadrant selection stays
  * bit-for-bit.
  */
 
@@ -16,6 +18,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "graph/builder.hh"
 #include "graph/generators.hh"
@@ -205,15 +208,23 @@ constexpr ReorderKind kAllKinds[] = {
     ReorderKind::Random,
 };
 
+/** The chunk counts the chunked kernels are checked at. */
+constexpr unsigned kChunkCounts[] = {1, 2, 3, 4, 7};
+
 TEST(BuildEquivalence, FuzzShapesUnderEveryBuildOption)
 {
+    // The default build, and the chunked build at every chunk count.
     for (const testing::FuzzSpec &spec : specs()) {
         VertexId n = 0;
         const EdgeList edges = spec.rawEdges(n);
         for (const BuildOptions &opts : allBuildOptions()) {
-            expectSameCsr(buildGraph(n, edges, opts),
-                          referenceBuild(n, edges, opts),
-                          spec.describe() + describe(opts));
+            const Csr want = referenceBuild(n, edges, opts);
+            const std::string what = spec.describe() + describe(opts);
+            expectSameCsr(buildGraph(n, edges, opts), want, what);
+            for (unsigned chunks : kChunkCounts) {
+                expectSameCsr(buildGraph(n, edges, opts, chunks), want,
+                              what + " chunks=" + std::to_string(chunks));
+            }
         }
     }
 }
@@ -229,11 +240,16 @@ TEST(BuildEquivalence, DegenerateSizes)
     };
     for (const auto &[n, edges] : cases) {
         for (const BuildOptions &opts : allBuildOptions()) {
-            expectSameCsr(buildGraph(n, edges, opts),
-                          referenceBuild(n, edges, opts),
-                          "n=" + std::to_string(n) + " arcs=" +
-                              std::to_string(edges.size()) +
-                              describe(opts));
+            const Csr want = referenceBuild(n, edges, opts);
+            const std::string what = "n=" + std::to_string(n) + " arcs=" +
+                                     std::to_string(edges.size()) +
+                                     describe(opts);
+            expectSameCsr(buildGraph(n, edges, opts), want, what);
+            // More chunks than edges or vertices leaves chunks empty.
+            for (unsigned chunks : kChunkCounts) {
+                expectSameCsr(buildGraph(n, edges, opts, chunks), want,
+                              what + " chunks=" + std::to_string(chunks));
+            }
         }
     }
 }
@@ -268,6 +284,36 @@ TEST(BuildEquivalence, PermutedUnderEveryReorderKind)
                     buildReorderPermutation(r, ReorderKind::Random, 0.2, 3);
                 expectSameCsr(r.permuted(back), referencePermuted(r, back),
                               what + " then random");
+            }
+        }
+    }
+}
+
+TEST(BuildEquivalence, ChunkCountNeverChangesTheRenumbering)
+{
+    BuildOptions keep_all;
+    keep_all.deduplicate = false;
+    keep_all.remove_self_loops = false;
+    for (const testing::FuzzSpec &spec : specs()) {
+        VertexId n = 0;
+        const EdgeList edges = spec.rawEdges(n);
+        BuildOptions opts;
+        opts.symmetrize = spec.symmetrize;
+        keep_all.symmetrize = spec.symmetrize;
+        for (unsigned chunks : kChunkCounts) {
+            for (const Graph &g : {buildGraph(n, edges, opts, chunks),
+                                   buildGraph(n, edges, keep_all, chunks)}) {
+                for (ReorderKind kind : kAllKinds) {
+                    const auto perm = buildReorderPermutation(g, kind, 0.2, 7);
+                    std::vector<VertexId> order(n);
+                    for (VertexId v = 0; v < n; ++v)
+                        order[perm[v]] = v;
+                    expectSameCsr(g.renumbered(order, chunks),
+                                  referencePermuted(g, perm),
+                                  spec.describe() + " " +
+                                      reorderKindName(kind) +
+                                      " jobs=" + std::to_string(chunks));
+                }
             }
         }
     }
@@ -309,6 +355,85 @@ TEST(BuildEquivalence, RmatEdgeListPinned)
     skewed.max_weight = 1000;
     EXPECT_EQ(edgeListHash(generateRmat(9, 16, skewed_rng, skewed)),
               0xc47ee40f7f46c92full);
+}
+
+/** Every edge and the generator's final state after one R-MAT draw. */
+struct RmatDraw
+{
+    EdgeList edges;
+    std::uint64_t state[4];
+};
+
+RmatDraw
+drawRmat(unsigned scale, unsigned edge_factor, const RmatParams &params,
+         unsigned chunks)
+{
+    Rng rng(42);
+    RmatDraw d;
+    d.edges = generateRmat(scale, edge_factor, rng, params, chunks);
+    for (int w = 0; w < 4; ++w)
+        d.state[w] = rng.stateWords()[w];
+    return d;
+}
+
+void
+expectSameDraw(const RmatDraw &got, const RmatDraw &want,
+               const std::string &what)
+{
+    SCOPED_TRACE(what);
+    ASSERT_EQ(got.edges.size(), want.edges.size());
+    std::size_t first_diff = got.edges.size();
+    for (std::size_t i = 0; i < got.edges.size(); ++i) {
+        const Edge &a = got.edges[i];
+        const Edge &b = want.edges[i];
+        if (a.src != b.src || a.dst != b.dst || a.weight != b.weight) {
+            first_diff = i;
+            break;
+        }
+    }
+    EXPECT_EQ(first_diff, got.edges.size()) << "edge lists differ";
+    for (int w = 0; w < 4; ++w)
+        EXPECT_EQ(got.state[w], want.state[w]) << "state word " << w;
+}
+
+TEST(BuildEquivalence, ChunkCountNeverChangesTheRmatDraws)
+{
+    // Scale 16, edge factor 8: exactly kParallelSetupEdges arcs, and the
+    // default max_weight of 16 is a power of two, so chunks jump ahead.
+    const RmatParams params;
+    const RmatDraw want = drawRmat(16, 8, params, 1);
+    ASSERT_EQ(want.edges.size(), std::size_t(1) << 19);
+    for (unsigned chunks : {2u, 3u, 7u}) {
+        expectSameDraw(drawRmat(16, 8, params, chunks), want,
+                       "chunks=" + std::to_string(chunks));
+    }
+}
+
+TEST(BuildEquivalence, NonPowerOfTwoWeightsDrawSequentially)
+{
+    // A weight bound that is not a power of two can make nextBounded
+    // redraw, so the per-arc draw count is not fixed; the chunk count
+    // must still change nothing.
+    RmatParams params;
+    params.max_weight = 1000;
+    expectSameDraw(drawRmat(16, 8, params, 7), drawRmat(16, 8, params, 1),
+                   "max_weight=1000");
+}
+
+TEST(BuildEquivalence, RmatEdgeListPinnedAboveTheCutoff)
+{
+    // The rMat dataset's shape: 786432 arcs, drawn on every host core.
+    // Pinned from the sequential generator.
+    Rng rng(42);
+    const EdgeList edges = generateRmat(16, 12, rng);
+    ASSERT_EQ(edges.size(), 786432u);
+    EXPECT_EQ(edgeListHash(edges), 0x9c57ae6d159e6818ull);
+    const std::uint64_t state[4] = {0xbb66cd0624159481ull,
+                                    0xefb0b58b62bbc43dull,
+                                    0x0c33c159b206faa5ull,
+                                    0x4eb129e02b7b2f78ull};
+    for (int w = 0; w < 4; ++w)
+        EXPECT_EQ(rng.stateWords()[w], state[w]) << "state word " << w;
 }
 
 } // namespace

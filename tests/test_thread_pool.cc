@@ -4,6 +4,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <cstddef>
@@ -49,6 +50,24 @@ TEST(ThreadPool, DestructorDrainsPendingWork)
             pool.submit([&count] { count.fetch_add(1); });
     }
     EXPECT_EQ(count.load(), 32);
+}
+
+TEST(ThreadPool, HardwareJobsFollowsTheAffinityMask)
+{
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(ThreadPool::hardwareJobs(),
+              static_cast<unsigned>(CPU_COUNT(&saved)));
+    int first = 0;
+    while (!CPU_ISSET(first, &saved))
+        ++first;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const unsigned restricted = ThreadPool::hardwareJobs();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(restricted, 1u);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce)

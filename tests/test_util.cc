@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "util/rng.hh"
 #include "util/stats.hh"
@@ -90,6 +91,81 @@ TEST(Rng, WorksWithStdShuffle)
     std::shuffle(v.begin(), v.end(), rng);
     std::sort(v.begin(), v.end());
     EXPECT_EQ(v, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
+}
+
+TEST(Rng, AdvanceEqualsRepeatedNext)
+{
+    for (std::uint64_t n : {0ull, 1ull, 63ull, 64ull, 255ull, 256ull, 257ull,
+                            1000003ull}) {
+        SCOPED_TRACE(n);
+        Rng jumped(42);
+        Rng stepped(42);
+        jumped.advance(n);
+        for (std::uint64_t i = 0; i < n; ++i)
+            stepped.next();
+        for (int w = 0; w < 4; ++w)
+            EXPECT_EQ(jumped.stateWords()[w], stepped.stateWords()[w]);
+        EXPECT_EQ(jumped.next(), stepped.next());
+    }
+}
+
+TEST(Rng, TwoToThe128StepsIsTheReferenceJump)
+{
+    // The xoshiro256** reference jump() applies these words; they are
+    // x^(2^128) mod P.
+    Rng::Poly p = {2, 0, 0, 0}; // x
+    for (int i = 0; i < 128; ++i)
+        p = Rng::mulModP(p, p);
+    const Rng::Poly reference = {0x180ec6d33cfd0abaull, 0xd5a61266f0c9392cull,
+                                 0xa9582618e03fc9aaull,
+                                 0x39abdc4529b1661cull};
+    EXPECT_EQ(p, reference);
+}
+
+TEST(Rng, CharPolyIsBerlekampMasseyOfTheStateBits)
+{
+    // Bit 0 of state word 0 over 512 steps: P is primitive, so the
+    // shortest linear recurrence of that sequence has P as its
+    // characteristic polynomial.
+    constexpr int kBits = 512;
+    Rng rng(3);
+    std::vector<int> bits(kBits);
+    for (int &b : bits) {
+        b = static_cast<int>(rng.stateWords()[0] & 1);
+        rng.next();
+    }
+    // Berlekamp-Massey over GF(2): connection polynomial c with
+    // bits[k] = sum_{i=1..len} c[i] bits[k - i].
+    std::vector<int> c(kBits + 1, 0);
+    std::vector<int> b(kBits + 1, 0);
+    c[0] = b[0] = 1;
+    int len = 0;
+    int shift = 1;
+    for (int k = 0; k < kBits; ++k) {
+        int d = bits[k];
+        for (int i = 1; i <= len; ++i)
+            d ^= c[i] & bits[k - i];
+        if (d == 0) {
+            ++shift;
+            continue;
+        }
+        const std::vector<int> prev = c;
+        for (int i = 0; i + shift <= kBits; ++i)
+            c[i + shift] ^= b[i];
+        if (2 * len <= k) {
+            len = k + 1 - len;
+            b = prev;
+            shift = 1;
+        } else {
+            ++shift;
+        }
+    }
+    ASSERT_EQ(len, 256);
+    // P(x) = x^256 c(1/x): the coefficient of x^j is c[256 - j].
+    Rng::Poly p = {};
+    for (int j = 0; j < 256; ++j)
+        p[j / 64] |= static_cast<std::uint64_t>(c[256 - j]) << (j % 64);
+    EXPECT_EQ(p, Rng::kCharPoly);
 }
 
 TEST(Counter, IncrementAndAdd)

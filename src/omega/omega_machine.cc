@@ -14,8 +14,7 @@
 namespace omega {
 
 OmegaMachine::OmegaMachine(const MachineParams &params)
-    : params_(params),
-      hierarchy_(params),
+    : CmpMachine(params, params.pisc_enabled ? "omega" : "omega-sp-only"),
       controller_(params.num_cores, params.sp_chunk_size)
 {
     omega_assert(params.sp_total_bytes > 0,
@@ -29,9 +28,8 @@ OmegaMachine::OmegaMachine(const MachineParams &params)
     const std::uint64_t per_core = params.sp_total_bytes / params.num_cores;
     const std::uint64_t remainder =
         params.sp_total_bytes % params.num_cores;
-    tiles_.reserve(params.num_cores);
     for (unsigned c = 0; c < params.num_cores; ++c) {
-        tiles_.emplace_back(params, params.svb_entries);
+        svbs_.emplace_back(params.svb_entries);
         scratchpads_.emplace_back(per_core + (c < remainder ? 1 : 0),
                                   params.sp_latency);
         piscs_.emplace_back();
@@ -58,48 +56,22 @@ OmegaMachine::visit(FieldVisitor &v)
               "vtxProp touches on hot vertices");
     v.group("cache", hierarchy_);
     v.group("controller", controller_);
-    // One tile, scratchpad and PISC per core (constructor).
+    // One tile, scratchpad, PISC and SVB per core (constructor).
     v.config("tiles", tiles_.size());
-    for (std::size_t c = 0; c < tiles_.size(); ++c)
-        v.group("core" + std::to_string(c), tiles_[c]);
-    for (std::size_t c = 0; c < scratchpads_.size(); ++c)
-        v.group("sp" + std::to_string(c), scratchpads_[c]);
-    for (std::size_t c = 0; c < piscs_.size(); ++c)
-        v.group("pisc" + std::to_string(c), piscs_[c]);
-    for (std::size_t c = 0; c < tiles_.size(); ++c)
-        v.group("svb" + std::to_string(c), tiles_[c].svb);
+    visitEach(v, "core", tiles_);
+    visitEach(v, "sp", scratchpads_);
+    visitEach(v, "pisc", piscs_);
+    visitEach(v, "svb", svbs_);
     visitFaults(v);
 }
 
 void
-OmegaMachine::visitFaults(FieldVisitor &v)
+OmegaMachine::nameEngineTracks(trace::TraceSink &sink) const
 {
-    v.config("fault campaign armed", injector_ != nullptr);
-    if (injector_ != nullptr)
-        v.group("faults", *injector_);
-}
-
-void
-OmegaMachine::attachTracing()
-{
-    trace::TraceSink *s = trace::sink();
-    if (s == nullptr)
-        return;
-    trace_pid_ = s->beginProcess(name());
-    for (std::size_t c = 0; c < tiles_.size(); ++c) {
-        tiles_[c].core.setTraceIds(trace_pid_, static_cast<int>(c));
-        s->nameThread(static_cast<int>(c), "core" + std::to_string(c));
-    }
     for (std::size_t c = 0; c < piscs_.size(); ++c) {
-        s->nameThread(trace::kPiscTidBase + static_cast<int>(c),
-                      "pisc" + std::to_string(c));
+        sink.nameThread(trace::kPiscTidBase + static_cast<int>(c),
+                        "pisc" + std::to_string(c));
     }
-    hierarchy_.dram().setTracePid(trace_pid_);
-    for (unsigned ch = 0; ch < params_.dram_channels; ++ch) {
-        s->nameThread(trace::kDramTidBase + static_cast<int>(ch),
-                      "dram.ch" + std::to_string(ch));
-    }
-    s->nameThread(trace::kEngineTid, "engine");
 }
 
 void
@@ -114,14 +86,14 @@ OmegaMachine::takeSample(SampleKind kind)
     for (const auto &sp : scratchpads_)
         sp_accesses.push_back(sp.accesses());
     recorder_->take(kind, global_cycles_, iteration_, report(),
-                    coreIntervals(tiles_), std::move(pisc_busy),
+                    coreIntervals(), std::move(pisc_busy),
                     std::move(sp_accesses));
 }
 
 void
 OmegaMachine::configure(const MachineConfig &config)
 {
-    config_ = config;
+    CmpMachine::configure(config);
 
     // Scratchpad line: all vtxProp entries of one vertex plus the dense
     // active-list bit (rounded up into one byte).
@@ -147,79 +119,24 @@ OmegaMachine::configure(const MachineConfig &config)
         pisc.loadMicrocode(config.microcode_program,
                            config.microcode_cycles,
                            config.microcode_initiation);
-
-    last_barrier_cycles_ = global_cycles_;
-    refreshWatchdog();
-    if (profiler_ != nullptr)
-        profiler_->configure(config);
 }
 
 void
 OmegaMachine::armFaults(const FaultPlan &plan)
 {
-    if (injector_ == nullptr) {
-        injector_ = std::make_unique<FaultInjector>(plan);
-        // Lazy stat registration: the "faults" group only exists on armed
-        // runs, so the unarmed stat tree stays byte-identical.
-        StatRegistrar registrar(stats_root_);
-        visitFaults(registrar);
-    } else {
-        // Re-arm in place: the stat group holds pointers into the
-        // injector's counters, so the object's address must not change.
-        *injector_ = FaultInjector(plan);
-    }
-    hierarchy_.dram().setFaultInjector(injector_.get());
+    CmpMachine::armFaults(plan);
     hierarchy_.xbar().setFaultInjector(injector_.get());
     for (std::size_t c = 0; c < piscs_.size(); ++c)
         piscs_[c].setFaultInjector(injector_.get(),
                                    static_cast<unsigned>(c));
-    refreshWatchdog();
 }
 
-void
-OmegaMachine::armProfile()
+AccessProfiler::Config
+OmegaMachine::profileConfig() const
 {
-    if (profiler_ == nullptr) {
-        AccessProfiler::Config cfg;
-        cfg.num_cores = params_.num_cores;
-        cfg.l1_lines = params_.l1d.lines();
-        cfg.llc_lines = params_.l2.lines();
-        cfg.llc_sets = hierarchy_.llc().numSets();
-        cfg.line_bytes = params_.l2.line_bytes;
-        cfg.num_scratchpads = static_cast<unsigned>(scratchpads_.size());
-        profiler_ = std::make_unique<AccessProfiler>(cfg);
-        // Lazy stat registration, like armFaults(): the "profile" group
-        // only exists on armed runs, so the unarmed stat tree — and the
-        // pinned golden digests over it — stays byte-identical.
-        profiler_->attachDramChannels(
-            &hierarchy_.dram().channelBusyCycles(),
-            &hierarchy_.dram().channelRequests());
-        profiler_->addStats(stats_root_.addGroup("profile"));
-    } else {
-        // Re-arm in place: the stat group holds pointers into the
-        // profiler's counters, so the object's address must not change.
-        profiler_->reset();
-    }
-    profiler_->configure(config_);
-    hierarchy_.setProfiler(profiler_.get());
-}
-
-void
-OmegaMachine::refreshWatchdog()
-{
-    watchdog_cycles_ = config_.watchdog_cycles != 0
-                           ? config_.watchdog_cycles
-                           : (injector_ != nullptr
-                                  ? injector_->plan().watchdog_cycles
-                                  : 0);
-}
-
-void
-OmegaMachine::countVertexAccess(VertexId vertex)
-{
-    ++vtxprop_accesses_;
-    if (vertex < config_.hot_boundary)
-        ++vtxprop_hot_accesses_;
+    AccessProfiler::Config cfg = CmpMachine::profileConfig();
+    cfg.num_scratchpads = static_cast<unsigned>(scratchpads_.size());
+    return cfg;
 }
 
 Cycles
@@ -279,7 +196,7 @@ OmegaMachine::spFaultPenalty(unsigned core, const SpRoute &route,
         return 0;
     // The corrupted word may have been copied into the reader's SVB; drop
     // that entry so recovery re-fetches instead of serving stale data.
-    tiles_[core].svb.invalidate(route.vertex, route.prop);
+    svbs_[core].invalidate(route.vertex, route.prop);
 
     const FaultPlan &plan = injector_->plan();
     Cycles penalty = 0;
@@ -323,35 +240,20 @@ OmegaMachine::spFaultPenalty(unsigned core, const SpRoute &route,
 }
 
 void
-OmegaMachine::cacheAccess(const MemAccess &access)
+OmegaMachine::memAccess(unsigned core, const EngineOp &op)
 {
-    CoreModel &core = tiles_[access.core].core;
-    if (!access.blocking)
-        core.prepareIssue();
-    const bool prefetched =
-        access.sequential && params_.stream_prefetch;
-    const Cycles lat =
-        hierarchy_.access(access.core, access.addr,
-                          access.op == MemOp::Store, core.now(),
-                          prefetched);
-    core.issueMemory(lat, access.blocking);
-}
-
-void
-OmegaMachine::memAccess(const MemAccess &access)
-{
-    if (access.cls == AccessClass::VertexProp) {
-        countVertexAccess(access.vertex);
-        if (auto route = controller_.route(access.addr, access.core)) {
-            CoreModel &core = tiles_[access.core].core;
+    const bool write = op.kind == EngineOpKind::Store;
+    if (op.cls == AccessClass::VertexProp) {
+        countVertexAccess(op.vertex);
+        if (auto route = controller_.route(op.addr, core)) {
             const Cycles lat =
-                scratchpadAccess(access.core, *route, access.addr,
-                                 access.size, access.op == MemOp::Store);
-            core.issueMemory(lat, access.blocking);
+                scratchpadAccess(core, *route, op.addr, op.arg, write);
+            tiles_[core].core.issueMemory(
+                lat, (op.flags & EngineOp::kBlocking) != 0);
             return;
         }
     }
-    cacheAccess(access);
+    cacheAccess(core, op.addr, write, op.flags);
 }
 
 void
@@ -360,108 +262,46 @@ OmegaMachine::readSrcProp(unsigned core, VertexId vertex,
 {
     countVertexAccess(vertex);
     if (auto route = controller_.route(addr, core)) {
-        CoreModel &cm = tiles_[core].core;
-        if (route->home == core) {
-            // Local scratchpad read; the buffer only caches remote data.
-            scratchpads_[route->home].recordRead(size);
-            if (profile::compiledIn() && profiler_ != nullptr)
-                profiler_->onScratchpadAccess(addr, size, false,
-                                              route->home);
-            ++sp_local_;
-            Cycles lat = scratchpads_[route->home].latency();
-            if (injector_ != nullptr)
-                lat += spFaultPenalty(core, *route, lat);
-            cm.issueMemory(lat, false);
-            return;
-        }
-        if (tiles_[core].svb.lookupAndFill(vertex, route->prop)) {
-            cm.issueMemory(1, false); // served from the core-local buffer
-            return;
-        }
-        const Cycles lat = scratchpadAccess(core, *route, addr, size,
-                                            false);
-        cm.issueMemory(lat, false);
+        // The buffer only caches remote data; a hit costs one cycle.
+        const bool buffered = route->home != core &&
+                              svbs_[core].lookupAndFill(vertex, route->prop);
+        const Cycles lat =
+            buffered ? 1 : scratchpadAccess(core, *route, addr, size, false);
+        tiles_[core].core.issueMemory(lat, false);
         return;
     }
-    MemAccess a;
-    a.core = core;
-    a.op = MemOp::Load;
-    a.addr = addr;
-    a.size = size;
-    a.cls = AccessClass::VertexProp;
-    a.vertex = vertex;
-    a.blocking = false;
-    cacheAccess(a);
+    cacheAccess(core, addr, /*write=*/false);
 }
 
 void
 OmegaMachine::coreAtomic(const AtomicRequest &request)
 {
-    CoreTile &tile = tiles_[request.core];
-    CoreModel &core = tile.core;
     ++atomics_on_core_;
-
-    if (auto route = controller_.route(request.addr, request.core)) {
-        // Scratchpad-resident but no PISC (SP-only ablation): the core
-        // performs the locked read-modify-write against the scratchpad at
-        // word granularity.
-        core.prepareIssue(StallKind::Atomic);
-        const Cycles rlat =
-            scratchpadAccess(request.core, *route, request.addr,
-                             request.size, false);
-        core.issueMemory(rlat, false, StallKind::Atomic);
-        core.serialize(params_.atomic_serialize, StallKind::Atomic);
-        const Cycles wlat =
-            scratchpadAccess(request.core, *route, request.addr,
-                             request.size, true);
-        core.issueMemory(wlat, false, StallKind::Atomic);
-        if (request.activates_dense) {
-            // The dense bit lives in the vertex's scratchpad line.
-            const Cycles blat =
-                scratchpadAccess(request.core, *route, request.addr, 1,
-                                 true);
-            core.issueMemory(blat, false);
-        }
-    } else {
-        core.prepareIssue(params_.atomics_as_plain ? StallKind::Memory
-                                                   : StallKind::Atomic);
-        const Cycles lat = hierarchy_.access(request.core, request.addr,
-                                             true, core.now());
-        if (params_.atomics_as_plain) {
-            core.issueMemory(lat, false);
-            core.compute(2);
-        } else {
-            core.issueMemory(lat, false, StallKind::Atomic);
-            core.serialize(params_.atomic_serialize, StallKind::Atomic);
-        }
-        if (request.activates_dense) {
-            MemAccess a;
-            a.core = request.core;
-            a.op = MemOp::Store;
-            a.addr = config_.dense_active_base + request.vertex;
-            a.size = 1;
-            a.cls = AccessClass::ActiveList;
-            cacheAccess(a);
-        }
+    const auto route = controller_.route(request.addr, request.core);
+    if (!route) {
+        cacheAtomic(request);
+        return;
     }
-
-    if (request.activates_sparse) {
-        core.prepareIssue(StallKind::Atomic);
-        const Cycles clat = hierarchy_.access(
-            request.core, config_.sparse_counter_addr, true, core.now());
-        core.issueMemory(clat, false, StallKind::Atomic);
-        if (!params_.atomics_as_plain)
-            core.serialize(params_.atomic_serialize, StallKind::Atomic);
-        MemAccess a;
-        a.core = request.core;
-        a.op = MemOp::Store;
-        a.addr = config_.sparse_active_base +
-                 4 * (tile.sparse_appends++ * params_.num_cores +
-                      request.core);
-        a.size = 4;
-        a.cls = AccessClass::ActiveList;
-        cacheAccess(a);
+    // Scratchpad-resident but no PISC (SP-only ablation): the core
+    // performs the locked read-modify-write against the scratchpad at
+    // word granularity.
+    CoreModel &core = tiles_[request.core].core;
+    core.prepareIssue(StallKind::Atomic);
+    const Cycles rlat = scratchpadAccess(request.core, *route, request.addr,
+                                         request.size, false);
+    core.issueMemory(rlat, false, StallKind::Atomic);
+    core.serialize(params_.atomic_serialize, StallKind::Atomic);
+    const Cycles wlat = scratchpadAccess(request.core, *route, request.addr,
+                                         request.size, true);
+    core.issueMemory(wlat, false, StallKind::Atomic);
+    if (request.activates_dense) {
+        // The dense bit lives in the vertex's scratchpad line.
+        const Cycles blat =
+            scratchpadAccess(request.core, *route, request.addr, 1, true);
+        core.issueMemory(blat, false);
     }
+    if (request.activates_sparse)
+        appendSparse(request.core, StallKind::Atomic);
 }
 
 std::optional<Cycles>
@@ -606,75 +446,43 @@ OmegaMachine::atomicUpdate(const AtomicRequest &request)
 void
 OmegaMachine::barrier()
 {
-    Cycles t = global_cycles_;
-    for (auto &tile : tiles_) {
-        tile.core.drain();
-        t = std::max(t, tile.core.now());
-    }
     // Offloaded atomics must complete before the next phase reads the
     // updated properties.
+    Cycles piscs_done = 0;
     for (const auto &pisc : piscs_)
-        t = std::max(t, pisc.lastCompletion());
-    for (auto &tile : tiles_)
-        tile.core.syncTo(t);
-    global_cycles_ = t;
+        piscs_done = std::max(piscs_done, pisc.lastCompletion());
+    const Cycles t = joinCores(piscs_done);
     // Every core (and PISC) is now at t: busy entries that completed by t
     // can never block a later request, so drop them. Keeps the table
     // bounded by in-flight atomics across long multi-iteration runs.
     controller_.retireCompleted(t);
     if (watchdog_cycles_ != 0)
-        checkForwardProgress(t);
-    last_barrier_cycles_ = t;
-    if (recorder_ != nullptr && recorder_->cadenceDue(global_cycles_))
-        takeSample(SampleKind::Cadence);
+        checkStuckVertices(t);
+    closePhase(t);
 }
 
 void
-OmegaMachine::checkForwardProgress(Cycles now)
+OmegaMachine::checkStuckVertices(Cycles now)
 {
     // Everything has drained to `now`, so any surviving busy entry can
     // only be a never-retiring lost update: the atomic it models will
     // never complete, and every later same-vertex offload queues behind
     // it forever.
     const auto stuck = controller_.stuckVertices(now, 8);
-    if (!stuck.empty()) {
-        std::ostringstream os;
-        os << stuck.size() << (stuck.size() == 8 ? "+" : "")
-           << " busy-table entr" << (stuck.size() == 1 ? "y" : "ies")
-           << " will never retire (lost fire-and-forget update):";
-        for (const VertexId v : stuck)
-            os << " v" << v << "@sp" << controller_.homeOf(v);
-        throw WatchdogError(watchdogReport(os.str(), now));
-    }
-    if (now - last_barrier_cycles_ > watchdog_cycles_) {
-        std::ostringstream os;
-        os << "barrier phase took " << (now - last_barrier_cycles_)
-           << " cycles (budget " << watchdog_cycles_ << ")";
-        throw WatchdogError(watchdogReport(os.str(), now));
-    }
+    if (stuck.empty())
+        return;
+    std::ostringstream os;
+    os << stuck.size() << (stuck.size() == 8 ? "+" : "")
+       << " busy-table entr" << (stuck.size() == 1 ? "y" : "ies")
+       << " will never retire (lost fire-and-forget update):";
+    for (const VertexId v : stuck)
+        os << " v" << v << "@sp" << controller_.homeOf(v);
+    throw WatchdogError(watchdogReport(os.str(), now));
 }
 
-std::string
-OmegaMachine::watchdogReport(const std::string &reason, Cycles now) const
+void
+OmegaMachine::dumpEngines(std::ostream &os) const
 {
-    std::ostringstream os;
-    os << "watchdog: " << reason << " [machine " << name() << ", cycle "
-       << now << "]\n"
-       << debugDump();
-    return os.str();
-}
-
-std::string
-OmegaMachine::debugDump() const
-{
-    std::ostringstream os;
-    os << name() << " state @ cycle " << global_cycles_
-       << " (iteration " << iteration_ << ", last barrier "
-       << last_barrier_cycles_ << ")\n";
-    for (std::size_t c = 0; c < tiles_.size(); ++c) {
-        os << "  core" << c << ": clock=" << tiles_[c].core.now()
-           << " instructions=" << tiles_[c].core.instructions() << "\n";
-    }
     for (std::size_t c = 0; c < piscs_.size(); ++c) {
         os << "  pisc" << c << ": ops=" << piscs_[c].ops()
            << " busy_until=" << piscs_[c].busyUntil()
@@ -691,61 +499,25 @@ OmegaMachine::debugDump() const
     os << "\n  degradation: " << controller_.poisonedLines()
        << " poisoned lines, " << controller_.demotedScratchpads()
        << " demoted scratchpads\n";
-    if (injector_ != nullptr)
-        os << "  " << injector_->summary() << "\n";
-    return os.str();
 }
 
 void
 OmegaMachine::endIteration()
 {
-    for (auto &tile : tiles_)
-        tile.svb.invalidateAll();
+    for (auto &svb : svbs_)
+        svb.invalidateAll();
     if (trace_pid_ > 0) {
         trace::emitInstant("svb.invalidate_all", "svb", trace_pid_,
                            trace::kEngineTid, global_cycles_, "iteration",
                            iteration_);
     }
-    if (profile::compiledIn() && profiler_ != nullptr)
-        profiler_->endPhase(global_cycles_);
-    ++iteration_;
-    if (recorder_ != nullptr)
-        takeSample(SampleKind::Iteration);
-}
-
-void
-OmegaMachine::recordFinalSample()
-{
-    if (recorder_ != nullptr)
-        takeSample(SampleKind::Final);
-}
-
-Cycles
-OmegaMachine::coreNow(unsigned core) const
-{
-    return tiles_[core].core.now();
-}
-
-Cycles
-OmegaMachine::cycles() const
-{
-    return global_cycles_;
+    CmpMachine::endIteration();
 }
 
 StatsReport
 OmegaMachine::report() const
 {
-    StatsReport r;
-    r.cycles = global_cycles_;
-    hierarchy_.collect(r);
-    for (const auto &tile : tiles_) {
-        const CoreModel &core = tile.core;
-        r.instructions += core.instructions();
-        r.compute_cycles += core.computeCycles();
-        r.mem_stall_cycles += core.memStallCycles();
-        r.atomic_stall_cycles += core.atomicStallCycles();
-        r.sync_stall_cycles += core.syncStallCycles();
-    }
+    StatsReport r = CmpMachine::report();
     for (const auto &sp : scratchpads_)
         r.sp_accesses += sp.reads() + sp.writes() + sp.atomics();
     for (const auto &pisc : piscs_) {
@@ -755,18 +527,15 @@ OmegaMachine::report() const
             std::max<std::uint64_t>(r.pisc_max_busy_cycles,
                                     pisc.busyCycles());
     }
-    for (const auto &tile : tiles_) {
-        r.svb_hits += tile.svb.hits();
-        r.svb_misses += tile.svb.misses();
+    for (const auto &svb : svbs_) {
+        r.svb_hits += svb.hits();
+        r.svb_misses += svb.misses();
     }
     r.sp_local = sp_local_;
     r.sp_remote = sp_remote_;
     r.pisc_blocked_conflicts = controller_.conflicts();
-    r.atomics_total = atomics_total_;
     r.atomics_offloaded = atomics_offloaded_;
     r.atomics_on_core = atomics_on_core_;
-    r.vtxprop_accesses = vtxprop_accesses_;
-    r.vtxprop_hot_accesses = vtxprop_hot_accesses_;
     return r;
 }
 

@@ -14,52 +14,38 @@
  *    fire-and-forget from the core;
  *  - source-vertex reads consult the per-core source-vertex buffer;
  *  - everything else (edgeList, nGraphData, cold vtxProp, active lists)
- *    uses the regular MESI cache hierarchy, exactly as on the baseline.
+ *    takes the CMP frame's cache path (sim/cmp_machine.hh), the same
+ *    code the baseline runs; a cold-vertex atomic is the frame's
+ *    core-executed atomic.
  */
 
 #ifndef OMEGA_OMEGA_OMEGA_MACHINE_HH
 #define OMEGA_OMEGA_OMEGA_MACHINE_HH
 
-#include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "omega/pisc.hh"
 #include "omega/scratchpad.hh"
 #include "omega/scratchpad_controller.hh"
 #include "omega/source_vertex_buffer.hh"
-#include "sim/coherence.hh"
-#include "sim/fault.hh"
-#include "sim/interval_stats.hh"
-#include "sim/memory_system.hh"
-#include "sim/tile.hh"
-#include "util/stats.hh"
+#include "sim/cmp_machine.hh"
 
 namespace omega {
 
 /**
- * OMEGA's per-core tile: the common private state plus the core's
- * source-vertex buffer (only the owning core reads and fills it). The
- * scratchpads and PISCs stay OFF the tile: they are home-indexed and
- * reached by every core through the controller, i.e. shared spine.
+ * OMEGA node (paper Fig 6 right side): the CMP frame plus a scratchpad,
+ * a PISC and a source-vertex buffer per core behind the scratchpad
+ * controller's routing. The SVBs are core-private (only the owning core
+ * reads and fills one) but sit beside the frame's tiles rather than in
+ * them; the scratchpads and PISCs are home-indexed shared spine.
  */
-struct OmegaCoreTile : CoreTile
-{
-    OmegaCoreTile(const MachineParams &params, unsigned svb_entries)
-        : CoreTile(params), svb(svb_entries)
-    {
-    }
-
-    SourceVertexBuffer svb;
-};
-
-/** OMEGA node (paper Fig 6 right side). */
-class OmegaMachine : public MemorySystem
+class OmegaMachine : public CmpMachine
 {
   public:
     explicit OmegaMachine(const MachineParams &params);
 
+    /** Frame configure, then scratchpad residency and PISC microcode. */
     void configure(const MachineConfig &config) override;
     void
     replayOps(unsigned core, std::span<const EngineOp> ops) final
@@ -74,7 +60,7 @@ class OmegaMachine : public MemorySystem
                 break;
               case EngineOpKind::Load:
               case EngineOpKind::Store:
-                memAccess(op.toMemAccess(core));
+                memAccess(core, op);
                 break;
               case EngineOpKind::SrcProp:
                 readSrcProp(core, op.vertex, op.addr, op.arg);
@@ -85,16 +71,16 @@ class OmegaMachine : public MemorySystem
             }
         }
     }
+    /** Joins the PISCs too, retires completed busy entries and checks
+     *  for stuck vertices before the frame's phase budget. */
     void barrier() override;
+    /** Invalidates every source-vertex buffer, then the frame's
+     *  iteration end. */
     void endIteration() override;
-    Cycles coreNow(unsigned core) const override;
-    Cycles cycles() const override;
+    /** Frame report plus the scratchpad, PISC and SVB counters. */
     StatsReport report() const override;
-    const MachineParams &params() const override { return params_; }
-    std::string name() const override
-    {
-        return params_.pisc_enabled ? "omega" : "omega-sp-only";
-    }
+    /** Frame wiring plus the crossbar and every PISC. */
+    void armFaults(const FaultPlan &plan) override;
 
     /** Number of vertices resident in the scratchpads this run. */
     VertexId residentVertices() const
@@ -108,35 +94,26 @@ class OmegaMachine : public MemorySystem
         return scratchpads_;
     }
 
-    void recordFinalSample() override;
-    const StatGroup *statTree() const override { return &stats_root_; }
-    void attachTracing() override;
-    int tracePid() const override { return trace_pid_; }
-
-    void armFaults(const FaultPlan &plan) override;
-    const FaultInjector *faultInjector() const override
-    {
-        return injector_.get();
-    }
-    std::string debugDump() const override;
-
-    void armProfile() override;
-    AccessProfiler *profiler() override { return profiler_.get(); }
-
     /**
      * Machine clocks/counters, the spine ("cache", "controller"), the
-     * tiles ("coreN", "svbN"), scratchpads ("spN"), PISCs ("piscN") and
-     * any armed injector ("faults"), in stat-tree order. Configuration
-     * (monitor registers, microcode, residency) is re-derived by
-     * configure() before restore.
+     * tiles ("coreN"), scratchpads ("spN"), PISCs ("piscN"), SVBs
+     * ("svbN") and any armed injector ("faults"), in stat-tree order.
+     * Configuration (monitor registers, microcode, residency) is
+     * re-derived by configure() before restore.
      */
     void visit(FieldVisitor &v) override;
+
+  protected:
+    void takeSample(SampleKind kind) override;
+    void nameEngineTracks(trace::TraceSink &sink) const override;
+    void dumpEngines(std::ostream &os) const override;
+    AccessProfiler::Config profileConfig() const override;
 
   private:
     /** @name Event handlers (replayOps) @{ */
     /** Load/Store: resident vtxProp to the home scratchpad, the rest
      *  through the caches. */
-    void memAccess(const MemAccess &access);
+    void memAccess(unsigned core, const EngineOp &op);
     /** Source-vtxProp read (paper section V.C): local scratchpad, the
      *  core's source-vertex buffer, or a remote scratchpad read. */
     void readSrcProp(unsigned core, VertexId vertex, std::uint64_t addr,
@@ -144,10 +121,6 @@ class OmegaMachine : public MemorySystem
     /** Atomic vtxProp update: offloaded to the home PISC when resident. */
     void atomicUpdate(const AtomicRequest &request);
     /** @} */
-    void countVertexAccess(VertexId vertex);
-    /** The armed flag (config) and, when armed, the injector. */
-    void visitFaults(FieldVisitor &v);
-    void takeSample(SampleKind kind);
     /**
      * Scratchpad word access from @p core; returns core-visible latency.
      * @param addr byte address of the access (profiler attribution; the
@@ -156,9 +129,8 @@ class OmegaMachine : public MemorySystem
     Cycles scratchpadAccess(unsigned core, const SpRoute &route,
                             std::uint64_t addr, std::uint32_t bytes,
                             bool write);
-    /** Fall back to the regular cache path. */
-    void cacheAccess(const MemAccess &access);
-    /** Core-executed atomic through the caches (cold vertices). */
+    /** Core-executed atomic: against the scratchpad when resident (the
+     *  SP-only ablation), otherwise the frame's cache-path atomic. */
     void coreAtomic(const AtomicRequest &request);
 
     /**
@@ -180,51 +152,20 @@ class OmegaMachine : public MemorySystem
      */
     Cycles spFaultPenalty(unsigned core, const SpRoute &route,
                           Cycles base_latency);
-    /** Recompute the effective watchdog budget (config overrides plan). */
-    void refreshWatchdog();
-    /** Barrier-time watchdog: stuck busy entries and the phase budget. */
-    void checkForwardProgress(Cycles now);
-    /** Compose a WatchdogError message: reason + state dump. */
-    std::string watchdogReport(const std::string &reason,
-                               Cycles now) const;
+    /** Barrier-time watchdog: busy entries that will never retire. */
+    void checkStuckVertices(Cycles now);
 
-    MachineParams params_;
-    MachineConfig config_;
-    CacheHierarchy hierarchy_;
-    /** Core-private tiles (core model, SVB, sparse-append counter). */
-    std::vector<OmegaCoreTile> tiles_;
+    /** Core-private source-vertex buffers, one per tile. */
+    std::vector<SourceVertexBuffer> svbs_;
     /** Home-indexed shared spine components (reached cross-core). */
     std::vector<Scratchpad> scratchpads_;
     std::vector<Pisc> piscs_;
     ScratchpadController controller_;
-    Cycles global_cycles_ = 0;
-    std::uint64_t iteration_ = 0;
-    int trace_pid_ = 0;
 
-    /** Armed fault campaign (null on the fault-free fast path). Its
-     *  "faults" stat group is attached lazily — only armed runs report
-     *  it, keeping the unarmed stat tree (and the golden digest)
-     *  unchanged. */
-    std::unique_ptr<FaultInjector> injector_;
-
-    /** Armed access profiler + its lazily attached "profile" group
-     *  (same arming pattern as the fault campaign). */
-    std::unique_ptr<AccessProfiler> profiler_;
-    /** Effective forward-progress budget; 0 disables the watchdog. */
-    Cycles watchdog_cycles_ = 0;
-    Cycles last_barrier_cycles_ = 0;
-
-    std::uint64_t atomics_total_ = 0;
     std::uint64_t atomics_offloaded_ = 0;
     std::uint64_t atomics_on_core_ = 0;
     std::uint64_t sp_local_ = 0;
     std::uint64_t sp_remote_ = 0;
-    std::uint64_t vtxprop_accesses_ = 0;
-    std::uint64_t vtxprop_hot_accesses_ = 0;
-
-    /** Stat tree: root -> {machine counters, cache.*, controller.*,
-     *  coreN.*, spN.*, piscN.*, svbN.*}. */
-    StatGroup stats_root_{"omega"};
 };
 
 } // namespace omega

@@ -70,14 +70,4 @@ Pisc::visit(FieldVisitor &v)
               "cycles offloads waited behind the engine");
 }
 
-void
-Pisc::reset()
-{
-    busy_until_ = 0;
-    last_completion_ = 0;
-    ops_ = 0;
-    busy_cycles_ = 0;
-    queue_cycles_ = 0;
-}
-
 } // namespace omega

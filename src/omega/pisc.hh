@@ -100,8 +100,6 @@ class Pisc
      *  configuration, re-loaded before restore. */
     void visit(FieldVisitor &v);
 
-    void reset();
-
   private:
     bool offerNackSlow(VertexId vertex, Cycles now);
 

@@ -34,10 +34,4 @@ Scratchpad::visit(FieldVisitor &v)
     v.counter("bytes_written", bytes_written_, "bytes written");
 }
 
-void
-Scratchpad::reset()
-{
-    reads_ = writes_ = atomics_ = bytes_read_ = bytes_written_ = 0;
-}
-
 } // namespace omega

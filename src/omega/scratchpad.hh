@@ -83,8 +83,6 @@ class Scratchpad
      */
     void visit(FieldVisitor &v);
 
-    void reset();
-
   private:
     std::uint64_t capacity_;
     Cycles latency_;

@@ -317,19 +317,4 @@ ScratchpadController::visit(FieldVisitor &v)
     v.state(demoted_count_);
 }
 
-void
-ScratchpadController::reset()
-{
-    bumpBusyEpoch();
-    busy_live_.clear();
-    max_busy_ = 0;
-    conflicts_ = 0;
-    slow_lookups_ = 0;
-    any_demotion_ = false;
-    poisoned_.clear();
-    demoted_.assign(demoted_.size(), 0);
-    poisoned_count_ = 0;
-    demoted_count_ = 0;
-}
-
 } // namespace omega

@@ -165,8 +165,6 @@ class ScratchpadController
     std::size_t busyTableSize() const { return busy_live_.size(); }
     /** Conflicts observed (requests that had to wait). */
     std::uint64_t conflicts() const { return conflicts_; }
-    /** Clear the busy table and counters (between runs). */
-    void reset();
     /** @} */
 
     /** @name Fault degradation and lost-update tracking. @{ */

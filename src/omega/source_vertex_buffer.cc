@@ -98,12 +98,4 @@ SourceVertexBuffer::visit(FieldVisitor &v)
               "end-of-iteration invalidation sweeps");
 }
 
-void
-SourceVertexBuffer::resetStats()
-{
-    hits_ = 0;
-    misses_ = 0;
-    invalidations_ = 0;
-}
-
 } // namespace omega

@@ -61,8 +61,6 @@ class SourceVertexBuffer
      */
     void visit(FieldVisitor &v);
 
-    void resetStats();
-
   private:
     struct Slot
     {

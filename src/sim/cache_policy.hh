@@ -157,7 +157,6 @@ class GraspPolicy final : public CachePolicy
     bool promoteOnHit(std::uint64_t line_addr) override;
 
     const GraspPolicyStats &stats() const { return stats_; }
-    void resetStats() { stats_ = GraspPolicyStats{}; }
     /** The decision counters (the region map is configuration,
      *  re-derived by configure() on resume). */
     void visit(FieldVisitor &v);

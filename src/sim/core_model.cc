@@ -145,18 +145,4 @@ CoreModel::visit(FieldVisitor &v)
               "cycles stalled at barriers");
 }
 
-void
-CoreModel::reset()
-{
-    clock_ = 0;
-    op_residue_ = 0;
-    inflight_count_ = 0;
-    oldest_inflight_ = kNoMiss;
-    instructions_ = 0;
-    compute_cycles_ = 0;
-    mem_stall_cycles_ = 0;
-    atomic_stall_cycles_ = 0;
-    sync_stall_cycles_ = 0;
-}
-
 } // namespace omega

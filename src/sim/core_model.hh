@@ -162,8 +162,6 @@ class CoreModel
         trace_tid_ = tid;
     }
 
-    void reset();
-
     /**
      * Counters, the clock and the MSHR window's live completion times in
      * their exact (unordered) slot order — future window compactions

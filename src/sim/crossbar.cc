@@ -30,10 +30,4 @@ Crossbar::visit(FieldVisitor &v)
     v.counter("packets", packets_, "packets (data + control)");
 }
 
-void
-Crossbar::reset()
-{
-    bytes_ = flits_ = packets_ = 0;
-}
-
 } // namespace omega

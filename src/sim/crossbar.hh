@@ -77,8 +77,6 @@ class Crossbar
     /** Traffic counters; latency/flit geometry is constructor state. */
     void visit(FieldVisitor &v);
 
-    void reset();
-
   private:
     Cycles faultLatencySlow(Cycles now, Cycles retransmit_cycles);
 

@@ -143,15 +143,4 @@ Dram::visit(FieldVisitor &v)
                 "per-request channel queueing delay");
 }
 
-void
-Dram::reset()
-{
-    std::fill(channel_free_.begin(), channel_free_.end(), 0);
-    std::fill(channel_busy_.begin(), channel_busy_.end(), 0);
-    std::fill(channel_requests_.begin(), channel_requests_.end(), 0);
-    reads_ = writes_ = read_bytes_ = write_bytes_ = queue_cycles_ = 0;
-    max_queue_ = 0;
-    queue_hist_.reset();
-}
-
 } // namespace omega

@@ -115,8 +115,6 @@ class Dram
      */
     void visit(FieldVisitor &v);
 
-    void reset();
-
   private:
     /** Serialize a transfer on its channel; returns its start time. */
     Cycles occupy(Cycles now, unsigned channel, std::uint32_t bytes);

@@ -31,9 +31,9 @@ namespace omega {
 enum class EngineOpKind : std::uint8_t {
     /** Advance the core clock by @c arg instruction-equivalents. */
     Compute,
-    /** Core load (MemAccess with op == Load). */
+    /** Core load. */
     Load,
-    /** Core store (MemAccess with op == Store). */
+    /** Core store. */
     Store,
     /** Source-vtxProp read (SVB-eligible on OMEGA). */
     SrcProp,
@@ -131,23 +131,6 @@ struct EngineOp
             (activates_dense ? kActivatesDense : 0) |
             (activates_sparse ? kActivatesSparse : 0));
         return op;
-    }
-
-    /** Expand a Load/Store op into the MemAccess form machines route
-     *  internally. */
-    MemAccess
-    toMemAccess(unsigned core) const
-    {
-        MemAccess a;
-        a.core = core;
-        a.op = kind == EngineOpKind::Store ? MemOp::Store : MemOp::Load;
-        a.addr = addr;
-        a.size = arg;
-        a.cls = cls;
-        a.blocking = (flags & kBlocking) != 0;
-        a.sequential = (flags & kSequential) != 0;
-        a.vertex = vertex;
-        return a;
     }
 
     /** Expand an Atomic op into the AtomicRequest form machines route

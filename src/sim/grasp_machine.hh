@@ -22,7 +22,8 @@
 
 namespace omega {
 
-/** Baseline hardware + GRASP LLC insertion/promotion. */
+/** Baseline hardware + GRASP LLC insertion/promotion. Everything else,
+ *  event handlers included, is BaselineMachine on the CMP frame. */
 class GraspMachine final : public BaselineMachine
 {
   public:

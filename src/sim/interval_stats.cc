@@ -177,12 +177,4 @@ IntervalRecorder::restore(SnapshotReader &r)
     }
 }
 
-void
-IntervalRecorder::reset()
-{
-    samples_.clear();
-    prev_cum_ = StatsReport{};
-    next_cadence_ = cadence_;
-}
-
 } // namespace omega

@@ -131,9 +131,6 @@ class IntervalRecorder
     void restore(SnapshotReader &r);
     /** @} */
 
-    /** Drop all samples and restart the cadence clock. */
-    void reset();
-
   private:
     Cycles cadence_;
     Cycles next_cadence_;

@@ -2,9 +2,11 @@
  * @file
  * Abstract memory-system interface the framework runtime drives.
  *
- * Two implementations exist: BaselineMachine (conventional MESI cache
- * hierarchy) and OmegaMachine (hybrid cache + scratchpad with PISC
- * engines). The framework is machine-agnostic: it registers its vtxProp
+ * The registry's timing machines all derive from the CMP frame
+ * CmpMachine (sim/cmp_machine.hh): BaselineMachine (conventional MESI
+ * cache hierarchy), GraspMachine (the baseline with a GRASP LLC policy)
+ * and OmegaMachine (hybrid cache + scratchpad with PISC engines). The
+ * framework is machine-agnostic: it registers its vtxProp
  * layout (the paper's address-monitoring-register configuration), then
  * emits compute, load/store, source-prop-read and atomic-update events;
  * each machine interprets them with its own timing and routing.

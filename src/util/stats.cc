@@ -129,14 +129,6 @@ Histogram::quantile(double p) const
 }
 
 void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    underflow_ = overflow_ = count_ = 0;
-    sum_ = min_ = max_ = 0.0;
-}
-
-void
 StatGroup::addCounter(const std::string &name, const Counter *c,
                       const std::string &desc)
 {

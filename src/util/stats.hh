@@ -77,8 +77,6 @@ class Histogram
     /** Approximate p-quantile (0..1) from bucket midpoints. */
     double quantile(double p) const;
 
-    void reset();
-
     /** True when the buckets are log-spaced (see logSpaced()). */
     bool logSpacedBuckets() const { return log_; }
 

@@ -143,17 +143,6 @@ TEST(DramChannels, BusyAccountingSumsToSingleChannelTotals)
     }
 }
 
-TEST(DramChannels, ResetClearsPerChannelAccounting)
-{
-    Dram dram(paramsWithChannels(4));
-    replay(dram, fuzzedStream(0xAB, 1000));
-    dram.reset();
-    for (Cycles b : dram.channelBusyCycles())
-        EXPECT_EQ(b, 0u);
-    for (std::uint64_t r : dram.channelRequests())
-        EXPECT_EQ(r, 0u);
-}
-
 // ---------------------------------------------------------------------
 // More channels never hurt.
 // ---------------------------------------------------------------------

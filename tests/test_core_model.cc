@@ -143,18 +143,6 @@ TEST(CoreModel, ShortOpsDontOccupyWindow)
     EXPECT_EQ(c.memStallCycles(), 0u);
 }
 
-TEST(CoreModel, ResetRestoresInitialState)
-{
-    CoreModel c(params());
-    c.compute(80);
-    c.issueMemory(100, true);
-    c.reset();
-    EXPECT_EQ(c.now(), 0u);
-    EXPECT_EQ(c.instructions(), 0u);
-    EXPECT_EQ(c.memStallCycles(), 0u);
-    EXPECT_EQ(c.computeCycles(), 0u);
-}
-
 TEST(CoreModel, ThroughputMatchesMlpModel)
 {
     // With window K and latency L, N independent misses take about

@@ -80,20 +80,6 @@ TEST(Dram, PostedWritesConsumeBandwidthOnly)
     EXPECT_GT(lat, params().dram_latency);
 }
 
-TEST(Dram, ResetClearsState)
-{
-    Dram d(params());
-    d.read(0, 0x0, 64);
-    d.write(0, 0x40, 64);
-    d.reset();
-    EXPECT_EQ(d.reads(), 0u);
-    EXPECT_EQ(d.writes(), 0u);
-    EXPECT_EQ(d.queueCycles(), 0u);
-    const Cycles unloaded = d.read(0, 0x0, 64);
-    const Cycles later = d.read(100000, 0x0, 64);
-    EXPECT_EQ(unloaded, later);
-}
-
 TEST(Crossbar, LatencyHelpers)
 {
     Crossbar x(params());
@@ -143,16 +129,6 @@ TEST(Crossbar, LineVsWordTrafficRatio)
     EXPECT_GT(static_cast<double>(line.bytes()) /
                   static_cast<double>(word.bytes()),
               4.0);
-}
-
-TEST(Crossbar, ResetClears)
-{
-    Crossbar x(params());
-    x.recordTransfer(64);
-    x.reset();
-    EXPECT_EQ(x.bytes(), 0u);
-    EXPECT_EQ(x.flits(), 0u);
-    EXPECT_EQ(x.packets(), 0u);
 }
 
 } // namespace

@@ -1,6 +1,10 @@
 /**
  * @file
- * Tests for the BaselineMachine and OmegaMachine memory systems.
+ * Tests for the BaselineMachine and OmegaMachine memory systems, plus
+ * per-registry-machine checks of the shared CMP frame: stat-root names,
+ * the cold-vertex atomic's stall accounting, and pinned digests of every
+ * armed artifact (stat tree, intervals, faults, trace, watchdog text,
+ * access profile).
  */
 
 #include <gtest/gtest.h>
@@ -10,11 +14,17 @@
 #include <string>
 #include <vector>
 
+#include "algorithms/algorithms.hh"
 #include "omega/omega_machine.hh"
 #include "sim/baseline_machine.hh"
+#include "sim/fault.hh"
+#include "sim/interval_stats.hh"
 #include "sim/machine_registry.hh"
+#include "sim/profile.hh"
+#include "testing/fuzz.hh"
 #include "util/json.hh"
 #include "util/stats.hh"
+#include "util/trace.hh"
 
 namespace omega {
 namespace {
@@ -468,6 +478,212 @@ TEST(MachineRegistry, OpChunkingDoesNotChangeResults)
             EXPECT_GT(spans.report.sp_accesses, 0u) << entry.name;
             EXPECT_GT(spans.report.svb_hits, 0u) << entry.name;
         }
+    }
+}
+
+TEST(MachineRegistry, StatTreeRootIsTheMachineName)
+{
+    // The registry name labels every artifact of a run, stat roots
+    // included (StatGroup::dump prefixes every line with it).
+    for (const MachineRegistryEntry &entry : machineRegistry()) {
+        auto m = entry.make(entry.make_params().scaledCapacities(1.0 / 256));
+        ASSERT_NE(m->statTree(), nullptr) << entry.name;
+        EXPECT_EQ(m->statTree()->name(), m->name()) << entry.name;
+        EXPECT_EQ(m->name(), entry.name);
+    }
+}
+
+TEST(MachineRegistry, PlainColdAtomicsChargeMemoryStalls)
+{
+    // Under the atomics_as_plain ablation a cold-vertex atomic is an
+    // ordinary store through the caches on every machine: the same
+    // cycles, and every stall charged to memory, sparse-list append
+    // included.
+    Cycles baseline_cycles = 0;
+    for (const char *name : {"baseline", "omega", "omega-sp-only"}) {
+        const MachineRegistryEntry &entry = machineEntry(name);
+        MachineParams p = entry.make_params().scaledCapacities(1.0 / 256);
+        p.atomics_as_plain = true;
+        auto m = entry.make(p);
+        m->configure(config(100000));
+        for (VertexId i = 0; i < 400; ++i)
+            issue(*m, 0, atomicOn(50000 + i, 8, /*activates_sparse=*/true));
+        m->barrier();
+        const StatsReport r = m->report();
+        EXPECT_EQ(r.atomics_on_core, 400u) << name;
+        EXPECT_EQ(r.atomic_stall_cycles, 0u) << name;
+        EXPECT_GT(r.mem_stall_cycles, 0u) << name;
+        if (baseline_cycles == 0)
+            baseline_cycles = m->cycles();
+        EXPECT_EQ(m->cycles(), baseline_cycles) << name;
+    }
+}
+
+// --- Armed artifacts, pinned per machine ----------------------------
+
+/** FNV-1a 64-bit over @p bytes. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** Digest of the JSON object {"v": <what @p write emits>}. */
+template <typename Write>
+std::uint64_t
+jsonDigest(Write &&write)
+{
+    std::ostringstream os;
+    JsonWriter w(os, /*pretty=*/false);
+    w.beginObject();
+    w.key("v");
+    write(w);
+    w.endObject();
+    return fnv1a(os.str());
+}
+
+/** Digests of every artifact an armed run leaves behind. */
+struct ArmedDigests
+{
+    std::uint64_t stat_tree = 0;
+    std::uint64_t intervals = 0;
+    std::uint64_t faults = 0;
+    std::uint64_t trace = 0;
+    std::uint64_t watchdog = 0;
+    /** Stat tree plus profile document of a profiled run; depends on
+     *  whether OMEGA_PROFILE is compiled in. */
+    std::uint64_t profile = 0;
+};
+
+/** A fresh machine at 1/1024 capacity: the test graph then has both
+ *  scratchpad-resident and cold vertices on OMEGA. */
+std::unique_ptr<MemorySystem>
+smallMachine(const MachineRegistryEntry &entry, bool armed)
+{
+    auto m = entry.make(entry.make_params().scaledCapacities(1.0 / 1024));
+    if (armed) {
+        std::string error;
+        const auto plan =
+            FaultPlan::parse("seed=7,ecc=0.01,nack=0.02,dram=0.02", &error);
+        EXPECT_TRUE(plan.has_value()) << error;
+        m->armFaults(*plan);
+    }
+    return m;
+}
+
+ArmedDigests
+armedDigests(const MachineRegistryEntry &entry)
+{
+    static const Graph g =
+        testing::FuzzSpec{testing::FuzzFamily::Rmat, 11, 4096, 8, true}
+            .materialize();
+    ArmedDigests d;
+    {
+        // Fault-armed, interval-sampled and traced: BFS, then PageRank.
+        trace::TraceSink sink;
+        trace::ScopedSink scope(&sink);
+        IntervalRecorder rec(20'000);
+        auto m = smallMachine(entry, /*armed=*/true);
+        m->attachTracing();
+        m->attachIntervalRecorder(&rec);
+        runAlgorithmOnMachine(AlgorithmKind::BFS, g, m.get());
+        runAlgorithmOnMachine(AlgorithmKind::PageRank, g, m.get());
+        m->recordFinalSample();
+        d.stat_tree =
+            jsonDigest([&](JsonWriter &w) { m->statTree()->writeJson(w); });
+        d.intervals = jsonDigest([&](JsonWriter &w) { rec.writeJson(w); });
+        d.faults = jsonDigest(
+            [&](JsonWriter &w) { m->faultInjector()->writeJson(w); });
+        std::ostringstream os;
+        sink.writeChromeTrace(os);
+        d.trace = fnv1a(os.str());
+    }
+    {
+        // A phase budget far below one BFS round forces a watchdog trip.
+        auto m = smallMachine(entry, /*armed=*/true);
+        EngineOptions opts;
+        opts.watchdog_cycles = 5'000;
+        try {
+            runAlgorithmOnMachine(AlgorithmKind::BFS, g, m.get(), opts);
+            ADD_FAILURE() << entry.name << ": the watchdog never tripped";
+        } catch (const WatchdogError &e) {
+            d.watchdog = fnv1a(e.what());
+        }
+    }
+    {
+        auto m = smallMachine(entry, /*armed=*/false);
+        m->armProfile();
+        runAlgorithmOnMachine(AlgorithmKind::BFS, g, m.get());
+        runAlgorithmOnMachine(AlgorithmKind::PageRank, g, m.get());
+        m->profiler()->finishRun(m->cycles());
+        d.profile = jsonDigest([&](JsonWriter &w) {
+            w.beginObject();
+            w.key("stat_tree");
+            m->statTree()->writeJson(w);
+            w.key("profile");
+            m->profiler()->writeJson(w);
+            w.endObject();
+        });
+    }
+    return d;
+}
+
+TEST(MachineRegistry, ArmedArtifactsArePinned)
+{
+    // Every arming, tracing and watchdog path of every machine, digested.
+    // Any change to what a machine samples, traces, injects, reports or
+    // dumps moves a pin. Pins taken before the machines shared one CMP
+    // frame; the profile pins come from an OMEGA_PROFILE build.
+    struct Pin
+    {
+        const char *machine;
+        ArmedDigests digests;
+        /** The profile digest of a build without OMEGA_PROFILE. */
+        std::uint64_t profile_off;
+    };
+    const std::vector<Pin> pins = {
+        {"baseline",
+         {0x4a6e79d318bd2a8bull, 0xad2f002ab0fbfb7dull, 0x385ff07bc323891cull,
+          0x2f549f905a8465d7ull, 0x3d379336acf3ac08ull, 0x1e8bed8134ba2f8cull},
+         0x0a95a8d66adea4d4ull},
+        {"grasp",
+         {0xf2948e1220baa911ull, 0x68064b7261a6fc0eull, 0xce0fe22fe20951c7ull,
+          0x996c93c0fe98ab90ull, 0xb3984496b1e9debcull, 0xb93f80fea0719601ull},
+         0x961d1c350926a101ull},
+        {"omega",
+         {0xbdad9df38a7ea2a7ull, 0x2e87cef5c15915a4ull, 0x5b5d9f006383a485ull,
+          0x128256744a1e9e6cull, 0xa4400dd192d01020ull, 0x296b794bd1b3f851ull},
+         0xc20b19b2c0ae7acaull},
+        {"omega-sp-only",
+         {0x2fc9a5afea214c70ull, 0xd967541bdd49ed33ull, 0x5a3035f5d99eb299ull,
+          0x0d4bd279a80b7d30ull, 0xe5c6185ab5d4595cull, 0x1f7a6121d3b45aaaull},
+         0xfdb9245837d84aa9ull},
+    };
+    for (const Pin &pin : pins) {
+        const ArmedDigests d = armedDigests(machineEntry(pin.machine));
+        const auto hex = [](std::uint64_t v) {
+            std::ostringstream os;
+            os << "0x" << std::hex << v;
+            return os.str();
+        };
+        SCOPED_TRACE(std::string(pin.machine) + " {" + hex(d.stat_tree) +
+                     ", " + hex(d.intervals) + ", " + hex(d.faults) + ", " +
+                     hex(d.trace) + ", " + hex(d.watchdog) + ", " +
+                     hex(d.profile) + "}");
+        EXPECT_EQ(d.stat_tree, pin.digests.stat_tree);
+        EXPECT_EQ(d.intervals, pin.digests.intervals);
+        EXPECT_EQ(d.faults, pin.digests.faults);
+        if (trace::compiledIn()) {
+            EXPECT_EQ(d.trace, pin.digests.trace);
+        }
+        EXPECT_EQ(d.watchdog, pin.digests.watchdog);
+        EXPECT_EQ(d.profile, profile::compiledIn() ? pin.digests.profile
+                                                   : pin.profile_off);
     }
 }
 

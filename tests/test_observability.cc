@@ -268,20 +268,6 @@ TEST(IntervalRecorder, DeltasAndTotals)
     EXPECT_EQ(total.pisc_max_busy_cycles, s2.pisc_max_busy_cycles);
 }
 
-TEST(IntervalRecorder, ResetRestartsSeriesAndCadence)
-{
-    IntervalRecorder rec(100);
-    StatsReport s;
-    s.cycles = 150;
-    rec.take(SampleKind::Cadence, 150, 0, s);
-    rec.reset();
-    EXPECT_TRUE(rec.empty());
-    EXPECT_TRUE(rec.cadenceDue(100));
-    // After the reset a fresh series deltas against zero again.
-    rec.take(SampleKind::Final, 150, 0, s);
-    EXPECT_EQ(rec.samples()[0].delta.cycles, 150u);
-}
-
 TEST(IntervalRecorder, WriteJsonEmitsOneObjectPerSample)
 {
     IntervalRecorder rec(0);

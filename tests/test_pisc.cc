@@ -76,19 +76,5 @@ TEST(Pisc, ExtendBusyAddsToCurrentExecution)
     EXPECT_EQ(p.busyCycles(), 7u);
 }
 
-TEST(Pisc, ResetClearsEverything)
-{
-    Pisc p;
-    p.loadMicrocode(2, 4);
-    p.execute(10);
-    p.reset();
-    EXPECT_EQ(p.busyUntil(), 0u);
-    EXPECT_EQ(p.ops(), 0u);
-    EXPECT_EQ(p.busyCycles(), 0u);
-    EXPECT_EQ(p.queueCycles(), 0u);
-    // Microcode survives reset (it is configuration, not run state).
-    EXPECT_EQ(p.programCycles(), 4u);
-}
-
 } // namespace
 } // namespace omega

@@ -40,9 +40,6 @@ TEST(Scratchpad, AccessAccounting)
     EXPECT_EQ(sp.atomics(), 1u);
     EXPECT_EQ(sp.bytesRead(), 8u + 8u);
     EXPECT_EQ(sp.bytesWritten(), 4u + 8u);
-    sp.reset();
-    EXPECT_EQ(sp.reads(), 0u);
-    EXPECT_EQ(sp.bytesRead(), 0u);
 }
 
 class ControllerTest : public ::testing::Test
@@ -162,16 +159,6 @@ TEST_F(ControllerTest, VertexBusyWindow)
     EXPECT_TRUE(ctrl_.isVertexBusy(3, 55));
     EXPECT_FALSE(ctrl_.isVertexBusy(3, 60));
     EXPECT_FALSE(ctrl_.isVertexBusy(4, 55));
-}
-
-TEST_F(ControllerTest, ResetClearsBusyAndConflicts)
-{
-    ctrl_.beginAtomic(3, 50, 10);
-    ctrl_.beginAtomic(3, 51, 10);
-    EXPECT_EQ(ctrl_.conflicts(), 1u);
-    ctrl_.reset();
-    EXPECT_EQ(ctrl_.conflicts(), 0u);
-    EXPECT_FALSE(ctrl_.isVertexBusy(3, 55));
 }
 
 TEST(ControllerDeathTest, OverlappingRangesAreRejected)

@@ -68,15 +68,6 @@ TEST(Svb, RepeatedSourceReadsMostlyHit)
     EXPECT_EQ(svb.hits(), static_cast<std::uint64_t>(degree - 1));
 }
 
-TEST(Svb, ResetStatsKeepsContents)
-{
-    SourceVertexBuffer svb(4);
-    svb.lookupAndFill(9, 0);
-    svb.resetStats();
-    EXPECT_EQ(svb.misses(), 0u);
-    EXPECT_TRUE(svb.contains(9, 0));
-}
-
 TEST(Svb, CapacityReported)
 {
     SourceVertexBuffer svb(16);

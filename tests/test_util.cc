@@ -315,15 +315,6 @@ TEST(Histogram, QuantileLogSpacedUnderOverflow)
     EXPECT_DOUBLE_EQ(h.quantile(1.0), 5000.0);
 }
 
-TEST(Histogram, ResetClearsEverything)
-{
-    Histogram h(0.0, 1.0, 4);
-    h.sample(0.5);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.bucketCount(2), 0u);
-}
-
 TEST(StatGroup, DumpAndLookup)
 {
     StatGroup root("machine");

@@ -164,6 +164,33 @@ BENCHMARK(BM_CsrBuild)
     ->Args({16, ThreadPool::hardwareJobs()})
     ->UseRealTime();
 
+/**
+ * Args: chunk count. A scale-16 R-MAT graph renumbered into its
+ * in-degree order, every row gathered and sorted; wall time, as for
+ * BM_CsrBuild.
+ */
+void
+BM_Renumber(benchmark::State &state)
+{
+    const auto chunks = static_cast<unsigned>(state.range(0));
+    Rng rng(9);
+    const Graph g = buildGraph(1 << 16, generateRmat(16, 8, rng));
+    const std::vector<VertexId> perm =
+        buildReorderPermutation(g, ReorderKind::InDegreeNthElement);
+    std::vector<VertexId> order(perm.size());
+    for (VertexId v = 0; v < perm.size(); ++v)
+        order[perm[v]] = v;
+    for (auto _ : state) {
+        auto r = g.renumbered(order, chunks);
+        benchmark::DoNotOptimize(r.numArcs());
+    }
+    state.SetItemsProcessed(state.iterations() * g.numArcs());
+}
+BENCHMARK(BM_Renumber)
+    ->Arg(1)
+    ->Arg(ThreadPool::hardwareJobs())
+    ->UseRealTime();
+
 void
 BM_ReorderNthElement(benchmark::State &state)
 {

@@ -252,7 +252,7 @@ runPageRankPull(const Graph &g, MemorySystem *mach, unsigned max_iters,
     for (unsigned iter = 0; iter < max_iters; ++iter) {
         eng.edgeMapPullAll(
             curr, next,
-            [&](unsigned, VertexId d, VertexId s, std::int32_t) {
+            [&](unsigned, VertexId d, VertexId s) {
                 next[d] += curr[s] / static_cast<double>(g.outDegree(s));
             },
             [&](unsigned, VertexId) {});

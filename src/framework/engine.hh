@@ -304,7 +304,8 @@ class Engine
      * destination's owner walks the destination's IN-edges, reads the
      * source vtxProps (random accesses) and updates the destination
      * locally — no atomics anywhere. @p gather is called per in-edge as
-     *   gather(core, dst, src, weight)
+     *   gather(core, dst, src)
+     * (the in-CSR stores no weights)
      * and @p apply once per destination after its edges, with the engine
      * emitting the destination-prop store.
      *
@@ -406,17 +407,31 @@ class Engine
     };
 
     /**
-     * Split @p u's edges into tasks of at most max_edges_per_task: the
-     * first segment goes to @p tasks (keeping task index == iteration
-     * order, which preserves the chunk/scratchpad alignment of
-     * section V.D), the remaining hub segments go to @p extras.
+     * The first segment of @p u's @p degree edges: at most
+     * max_edges_per_task of them, none when inactive. Built from the
+     * item index when the item runs, so task index == iteration order,
+     * which preserves the chunk/scratchpad alignment of section V.D.
      */
-    void appendTasks(std::vector<EdgeTask> &tasks,
-                     std::vector<EdgeTask> &extras, VertexId u,
-                     bool active, std::uint64_t frontier_slot) const;
+    EdgeTask
+    firstTask(VertexId u, EdgeId degree, bool active = true,
+              std::uint64_t frontier_slot = 0) const
+    {
+        EdgeTask t;
+        t.u = u;
+        t.active = active;
+        t.frontier_slot = frontier_slot;
+        t.count = static_cast<std::uint32_t>(std::min<EdgeId>(
+            active ? degree : 0, opts_.max_edges_per_task));
+        return t;
+    }
 
-    /** Order hub segments for the fine-grained second phase. */
-    static void mergeExtraTasks(std::vector<EdgeTask> &extras);
+    /** Append the segments past the first of @p u's @p degree edges
+     *  (a hub's) to extra_scratch_. */
+    void addHubSlices(VertexId u, EdgeId degree);
+
+    /** Order the hub slices in extra_scratch_ for the fine-grained
+     *  second phase. */
+    void mergeExtraTasks();
 
     /** Process one edge task (prologue + its slice of edges). */
     template <typename UpdateF, typename VertexHookF>
@@ -479,8 +494,7 @@ class Engine
     /** Inline op buffer of the (impure) push-edgeMap path. */
     OpArena op_buf_;
 
-    /** Reused task-list scratch for edgeMap / edgeMapPullAll. */
-    std::vector<EdgeTask> task_scratch_;
+    /** Hub slices of the current edgeMap / edgeMapPullAll (reused). */
     std::vector<EdgeTask> extra_scratch_;
 };
 
@@ -581,36 +595,26 @@ Engine::markActive(unsigned core, VertexId dst, bool dense_output)
 }
 
 inline void
-Engine::appendTasks(std::vector<EdgeTask> &tasks,
-                    std::vector<EdgeTask> &extras, VertexId u, bool active,
-                    std::uint64_t frontier_slot) const
+Engine::addHubSlices(VertexId u, EdgeId degree)
 {
-    EdgeTask first;
-    first.u = u;
-    first.active = active;
-    first.frontier_slot = frontier_slot;
-    const EdgeId deg = active ? g_.outDegree(u) : 0;
-    first.count = static_cast<std::uint32_t>(
-        std::min<EdgeId>(deg, opts_.max_edges_per_task));
-    tasks.push_back(first);
-    for (EdgeId off = opts_.max_edges_per_task; off < deg;
+    for (EdgeId off = opts_.max_edges_per_task; off < degree;
          off += opts_.max_edges_per_task) {
         EdgeTask rest;
         rest.u = u;
         rest.offset = static_cast<std::uint32_t>(off);
         rest.count = static_cast<std::uint32_t>(
-            std::min<EdgeId>(deg - off, opts_.max_edges_per_task));
+            std::min<EdgeId>(degree - off, opts_.max_edges_per_task));
         rest.first_segment = false;
-        extras.push_back(rest);
+        extra_scratch_.push_back(rest);
     }
 }
 
 inline void
-Engine::mergeExtraTasks(std::vector<EdgeTask> &extras)
+Engine::mergeExtraTasks()
 {
     // Order hub slices by (slice index, vertex): successive tasks come
     // from different hubs where possible, smoothing the tail.
-    std::sort(extras.begin(), extras.end(),
+    std::sort(extra_scratch_.begin(), extra_scratch_.end(),
               [](const EdgeTask &a, const EdgeTask &b) {
                   if (a.offset != b.offset)
                       return a.offset < b.offset;
@@ -760,6 +764,25 @@ Engine::edgeMap(const VertexSubset &frontier, UpdateF &&update,
         }
     }
 
+    // Each item's first segment comes from its index; the hub slices
+    // past it are listed, then run one task at a time so a single hub's
+    // work spreads over all cores (Ligra's edge parallelism).
+    std::vector<EdgeTask> &extras = extra_scratch_;
+    extras.clear();
+    auto run_hub_slices = [&](bool sparse_frontier) {
+        if (extras.empty())
+            return;
+        mergeExtraTasks();
+        parallelFor(
+            extras.size(),
+            [&](unsigned core, std::uint64_t idx) {
+                processEdgeTask(core, extras[idx], update, vertex_hook,
+                                want_output, !sparse_frontier,
+                                sparse_frontier);
+            },
+            /*chunk=*/1);
+    };
+
     if (dense) {
         VertexSubset f = frontier;
         if (!f.isDense()) {
@@ -769,31 +792,18 @@ Engine::edgeMap(const VertexSubset &frontier, UpdateF &&update,
                           AccessClass::ActiveList);
         }
         const auto &bits = f.dense();
-        std::vector<EdgeTask> &tasks = task_scratch_;
-        std::vector<EdgeTask> &extras = extra_scratch_;
-        tasks.clear();
-        extras.clear();
-        tasks.reserve(n);
-        for (VertexId v = 0; v < n; ++v)
-            appendTasks(tasks, extras, v, bits[v] != 0, 0);
-        parallelFor(tasks.size(), [&](unsigned core, std::uint64_t idx) {
-            processEdgeTask(core, tasks[idx], update, vertex_hook,
-                            want_output, /*dense_output=*/true,
+        for (VertexId v = 0; v < n; ++v) {
+            if (bits[v])
+                addHubSlices(v, g_.outDegree(v));
+        }
+        parallelFor(n, [&](unsigned core, std::uint64_t idx) {
+            const auto v = static_cast<VertexId>(idx);
+            processEdgeTask(core, firstTask(v, g_.outDegree(v), bits[v] != 0),
+                            update, vertex_hook, want_output,
+                            /*dense_output=*/true,
                             /*sparse_frontier=*/false);
         });
-        if (!extras.empty()) {
-            // Hub slices: schedule one task at a time so a single hub's
-            // work spreads over all cores (Ligra's edge parallelism).
-            mergeExtraTasks(extras);
-            parallelFor(
-                extras.size(),
-                [&](unsigned core, std::uint64_t idx) {
-                    processEdgeTask(core, extras[idx], update, vertex_hook,
-                                    want_output, /*dense_output=*/true,
-                                    /*sparse_frontier=*/false);
-                },
-                /*chunk=*/1);
-        }
+        run_hub_slices(/*sparse_frontier=*/false);
         VertexSubset out(n);
         if (want_output)
             out = VertexSubset::fromDense(std::move(next_dense_));
@@ -802,28 +812,15 @@ Engine::edgeMap(const VertexSubset &frontier, UpdateF &&update,
     }
 
     const auto &ids = frontier.sparse();
-    std::vector<EdgeTask> &tasks = task_scratch_;
-    std::vector<EdgeTask> &extras = extra_scratch_;
-    tasks.clear();
-    extras.clear();
-    tasks.reserve(ids.size());
-    for (std::uint64_t slot = 0; slot < ids.size(); ++slot)
-        appendTasks(tasks, extras, ids[slot], true, slot);
-    parallelFor(tasks.size(), [&](unsigned core, std::uint64_t idx) {
-        processEdgeTask(core, tasks[idx], update, vertex_hook, want_output,
+    for (VertexId u : ids)
+        addHubSlices(u, g_.outDegree(u));
+    parallelFor(ids.size(), [&](unsigned core, std::uint64_t slot) {
+        const VertexId u = ids[slot];
+        processEdgeTask(core, firstTask(u, g_.outDegree(u), true, slot),
+                        update, vertex_hook, want_output,
                         /*dense_output=*/false, /*sparse_frontier=*/true);
     });
-    if (!extras.empty()) {
-        mergeExtraTasks(extras);
-        parallelFor(
-            extras.size(),
-            [&](unsigned core, std::uint64_t idx) {
-                processEdgeTask(core, extras[idx], update, vertex_hook,
-                                want_output, /*dense_output=*/false,
-                                /*sparse_frontier=*/true);
-            },
-            /*chunk=*/1);
-    }
+    run_hub_slices(/*sparse_frontier=*/true);
 
     VertexSubset out(n);
     if (want_output) {
@@ -845,30 +842,12 @@ Engine::edgeMapPullAll(const PropArrayBase &src_prop,
                        ApplyF &&apply)
 {
     const VertexId n = g_.numVertices();
-    // Task list over destinations, hubs split by in-degree.
-    std::vector<EdgeTask> &tasks = task_scratch_;
+    // One task per destination, derived from its index; hubs split by
+    // in-degree, their slices listed.
     std::vector<EdgeTask> &extras = extra_scratch_;
-    tasks.clear();
     extras.clear();
-    tasks.reserve(n);
-    for (VertexId v = 0; v < n; ++v) {
-        EdgeTask first;
-        first.u = v;
-        const EdgeId deg = g_.inDegree(v);
-        first.count = static_cast<std::uint32_t>(
-            std::min<EdgeId>(deg, opts_.max_edges_per_task));
-        tasks.push_back(first);
-        for (EdgeId off = opts_.max_edges_per_task; off < deg;
-             off += opts_.max_edges_per_task) {
-            EdgeTask rest;
-            rest.u = v;
-            rest.offset = static_cast<std::uint32_t>(off);
-            rest.count = static_cast<std::uint32_t>(
-                std::min<EdgeId>(deg - off, opts_.max_edges_per_task));
-            rest.first_segment = false;
-            extras.push_back(rest);
-        }
-    }
+    for (VertexId v = 0; v < n; ++v)
+        addHubSlices(v, g_.inDegree(v));
 
     // Pull tasks are structurally pure: every op depends only on the
     // graph and the property layout, so they run scripted. The gathers
@@ -907,24 +886,29 @@ Engine::edgeMapPullAll(const PropArrayBase &src_prop,
     auto hook_task = [&](unsigned core, const EdgeTask &task) {
         const VertexId dst = task.u;
         const auto nbrs = g_.inNeighbors(dst);
-        const auto ws = g_.inWeights(dst);
         const std::size_t end = task.offset + task.count;
         for (std::size_t i = task.offset; i < end; ++i)
-            gather(core, dst, nbrs[i], ws[i]);
+            gather(core, dst, nbrs[i]);
         if (task.first_segment)
             apply(core, dst);
     };
 
     // Main tasks: one per destination vertex, whose additions happen in
     // ascending edge order within its single task.
+    auto task_of = [&](std::uint64_t idx) {
+        const auto v = static_cast<VertexId>(idx);
+        return firstTask(v, g_.inDegree(v));
+    };
     scriptedFor(
-        tasks.size(),
-        [&](ScriptBuilder &b, std::uint64_t idx) { gen_task(b, tasks[idx]); },
+        n,
+        [&](ScriptBuilder &b, std::uint64_t idx) {
+            gen_task(b, task_of(idx));
+        },
         [&](unsigned core, std::uint64_t idx) {
-            hook_task(core, tasks[idx]);
+            hook_task(core, task_of(idx));
         });
     if (!extras.empty()) {
-        mergeExtraTasks(extras);
+        mergeExtraTasks();
         scriptedFor(
             extras.size(),
             [&](ScriptBuilder &b, std::uint64_t idx) {

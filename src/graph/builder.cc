@@ -5,8 +5,9 @@
  * Construction is linear in vertices plus arcs. A stable two-pass
  * counting sort (least significant key first: destination, then source)
  * lays the out-CSR down with every row already sorted by destination.
- * Scattering the finished out-CSR in ascending source order then gives
- * in-rows that are sorted too. Every row ends up ordered by (neighbor,
+ * For a directed graph, scattering the finished out-CSR in ascending
+ * source order then gives in-rows that are sorted too; a symmetric graph
+ * stores the out-CSR alone. Every row ends up ordered by (neighbor,
  * weight), with no comparison sort except inside runs of parallel arcs.
  *
  * Every pass splits its input into contiguous chunks. A counting sort
@@ -99,22 +100,6 @@ class ChunkCursors
     VertexId keys_;
     std::unique_ptr<std::uint32_t[]> table_;
 };
-
-/**
- * The first row of each of @p chunks row ranges of about equal arc
- * counts, plus n at the end.
- */
-std::vector<VertexId>
-rowChunks(VertexId n, const EdgeId *off, unsigned chunks)
-{
-    std::vector<VertexId> first(chunks + std::size_t(1), n);
-    for (unsigned c = 0; c < chunks; ++c) {
-        const EdgeId target = off[n] * c / chunks;
-        first[c] = static_cast<VertexId>(
-            std::lower_bound(off, off + n, target) - off);
-    }
-    return first;
-}
 
 /**
  * Transpose the n rows of a CSR with offsets @p off into @p t_off and the
@@ -276,28 +261,23 @@ buildGraph(VertexId num_vertices, EdgeList edges, const BuildOptions &opts,
     by_src.reset();
 
     std::vector<VertexId> in_nbr;
-    std::vector<std::int32_t> in_w;
     if (opts.symmetrize) {
-        // The arcs are closed under reversal, so in-rows equal out-rows.
-        in_off = out_off;
-        in_nbr = out_nbr;
-        in_w = out_w;
+        // The arcs are closed under reversal, so in-rows equal out-rows
+        // and the graph stores only the out-CSR.
+        std::vector<EdgeId>().swap(in_off);
     } else {
         // Scattering in ascending source order sorts each in-row by
-        // source; parallel arcs keep their weight order.
+        // source. The in-CSR keeps no weights.
         in_nbr.resize(kept);
-        in_w.resize(kept);
         transpose(
             n, out_off.data(), [&](EdgeId i) { return out_nbr[i]; },
-            cursors, in_off, [&](EdgeId pos, VertexId s, EdgeId i) {
-                in_nbr[pos] = s;
-                in_w[pos] = out_w[i];
-            });
+            cursors, in_off,
+            [&](EdgeId pos, VertexId s, EdgeId) { in_nbr[pos] = s; });
     }
 
     return Graph(num_vertices, std::move(out_off), std::move(out_nbr),
                  std::move(out_w), std::move(in_off), std::move(in_nbr),
-                 std::move(in_w), opts.symmetrize);
+                 opts.symmetrize);
 }
 
 } // namespace omega

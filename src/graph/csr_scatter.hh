@@ -1,16 +1,16 @@
 /**
  * @file
- * The transpose scatter of Graph::renumbered, and the size from which
- * graph setup runs on every host core.
- *
- * A CSR direction is filled by scatter: each arc lands at its row's fill
- * cursor, so rows filled in neighbor order need no per-row sort.
+ * How graph setup splits its work: the size from which it runs on every
+ * host core, and the row ranges of about equal arc counts that the CSR
+ * build and Graph::renumbered hand to their workers.
  */
 
 #ifndef OMEGA_GRAPH_CSR_SCATTER_HH
 #define OMEGA_GRAPH_CSR_SCATTER_HH
 
+#include <algorithm>
 #include <cstddef>
+#include <vector>
 
 #include "graph/types.hh"
 #include "util/thread_pool.hh"
@@ -32,28 +32,19 @@ setupChunks(std::size_t edges)
 }
 
 /**
- * Scatter the rows (off, nbr, w) into their transpose. Target ids k
- * ascend from 0 to n-1; row old_of(k) of the source is read, and each of
- * its arcs (x, weight) appends (k, weight) at cursors[x], the fill
- * cursor of x's target row. Since k ascends, every target row fills
- * sorted by neighbor, and a run of parallel arcs keeps the order it had
- * in its source row. Each cursor ends where its row ends.
+ * The first row of each of @p chunks row ranges of about equal arc
+ * counts in the CSR with offsets @p off, plus n at the end.
  */
-template <typename OldOf>
-void
-scatterTransposed(VertexId n, const EdgeId *off, const VertexId *nbr,
-                  const std::int32_t *w, OldOf old_of, EdgeId *cursors,
-                  VertexId *out_nbr, std::int32_t *out_w)
+inline std::vector<VertexId>
+rowChunks(VertexId n, const EdgeId *off, unsigned chunks)
 {
-    for (VertexId k = 0; k < n; ++k) {
-        const VertexId v = old_of(k);
-        const EdgeId end = off[v + 1];
-        for (EdgeId i = off[v]; i < end; ++i) {
-            const EdgeId pos = cursors[nbr[i]]++;
-            out_nbr[pos] = k;
-            out_w[pos] = w[i];
-        }
+    std::vector<VertexId> first(chunks + std::size_t(1), n);
+    for (unsigned c = 0; c < chunks; ++c) {
+        const EdgeId target = off[n] * c / chunks;
+        first[c] = static_cast<VertexId>(
+            std::lower_bound(off, off + n, target) - off);
     }
+    return first;
 }
 
 } // namespace omega

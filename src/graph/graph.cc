@@ -6,6 +6,8 @@
 #include "graph/graph.hh"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "graph/csr_scatter.hh"
 #include "util/logging.hh"
@@ -13,13 +15,69 @@
 
 namespace omega {
 
+namespace {
+
+constexpr std::uint32_t kSignBit = 0x80000000u;
+
+/**
+ * One arc of a row packed into a sort key: the neighbor above the
+ * weight, its sign bit flipped so signed order is unsigned order.
+ */
+std::uint64_t
+packArc(VertexId nbr, std::int32_t w)
+{
+    return (std::uint64_t(nbr) << 32) |
+           (static_cast<std::uint32_t>(w) ^ kSignBit);
+}
+
+/**
+ * Sort the @p d packed arcs at @p a ascending. Each row comes from a
+ * row sorted by (neighbor, weight) with its neighbors renamed, so its
+ * parallel arcs are still in weight order and a stable sort by
+ * neighbor alone sorts the whole key. Short rows take an insertion
+ * sort. Longer ones take a least-significant-digit radix sort over the
+ * neighbor's low @p id_bits, one byte a pass, through @p tmp (d
+ * entries): no comparisons, so no mispredicted branches.
+ */
+void
+sortArcs(std::uint64_t *a, std::uint64_t *tmp, std::size_t d,
+         unsigned id_bits)
+{
+    if (d <= 32) {
+        for (std::size_t i = 1; i < d; ++i) {
+            const std::uint64_t x = a[i];
+            std::size_t j = i;
+            for (; j != 0 && x < a[j - 1]; --j)
+                a[j] = a[j - 1];
+            a[j] = x;
+        }
+        return;
+    }
+    std::uint64_t *src = a;
+    std::uint64_t *dst = tmp;
+    for (unsigned shift = 32; shift < 32 + id_bits; shift += 8) {
+        std::size_t pos[256] = {};
+        for (std::size_t i = 0; i < d; ++i)
+            ++pos[(src[i] >> shift) & 0xff];
+        std::size_t sum = 0;
+        for (std::size_t &p : pos)
+            sum += std::exchange(p, sum);
+        for (std::size_t i = 0; i < d; ++i)
+            dst[pos[(src[i] >> shift) & 0xff]++] = src[i];
+        std::swap(src, dst);
+    }
+    if (src != a)
+        std::copy_n(src, d, a);
+}
+
+} // namespace
+
 Graph::Graph(VertexId num_vertices,
              std::vector<EdgeId> out_offsets,
              std::vector<VertexId> out_neighbors,
              std::vector<std::int32_t> out_weights,
              std::vector<EdgeId> in_offsets,
              std::vector<VertexId> in_neighbors,
-             std::vector<std::int32_t> in_weights,
              bool symmetric)
     : num_vertices_(num_vertices),
       symmetric_(symmetric),
@@ -27,45 +85,50 @@ Graph::Graph(VertexId num_vertices,
       out_neighbors_(std::move(out_neighbors)),
       out_weights_(std::move(out_weights)),
       in_offsets_(std::move(in_offsets)),
-      in_neighbors_(std::move(in_neighbors)),
-      in_weights_(std::move(in_weights))
+      in_neighbors_(std::move(in_neighbors))
 {
     omega_assert(out_offsets_.size() == num_vertices_ + std::size_t(1),
                  "out offsets size mismatch");
-    omega_assert(in_offsets_.size() == num_vertices_ + std::size_t(1),
-                 "in offsets size mismatch");
     omega_assert(out_neighbors_.size() == out_weights_.size(),
                  "out weights size mismatch");
-    omega_assert(in_neighbors_.size() == in_weights_.size(),
-                 "in weights size mismatch");
+    if (symmetric_) {
+        omega_assert(in_offsets_.empty() && in_neighbors_.empty(),
+                     "a symmetric graph stores one CSR");
+    } else {
+        omega_assert(in_offsets_.size() == num_vertices_ + std::size_t(1),
+                     "in offsets size mismatch");
+    }
 }
 
 bool
 Graph::validate() const
 {
-    if (out_offsets_.empty() || in_offsets_.empty())
+    if (out_offsets_.empty())
         return num_vertices_ == 0;
-    if (out_offsets_.front() != 0 || in_offsets_.front() != 0)
+    if (out_offsets_.size() != num_vertices_ + std::size_t(1))
         return false;
-    if (out_offsets_.back() != out_neighbors_.size())
+    if (!symmetric_ && in_offsets_.size() != num_vertices_ + std::size_t(1))
         return false;
-    if (in_offsets_.back() != in_neighbors_.size())
-        return false;
-    for (VertexId v = 0; v < num_vertices_; ++v) {
-        if (out_offsets_[v] > out_offsets_[v + 1])
-            return false;
-        if (in_offsets_[v] > in_offsets_[v + 1])
-            return false;
-    }
     auto in_range = [this](VertexId u) { return u < num_vertices_; };
-    if (!std::all_of(out_neighbors_.begin(), out_neighbors_.end(), in_range))
+    // One stored direction: sorted offsets that end at its arc count,
+    // and every neighbor id in range.
+    auto valid_csr = [&](const std::vector<EdgeId> &off,
+                         const std::vector<VertexId> &nbr) {
+        if (off.front() != 0 || off.back() != nbr.size())
+            return false;
+        for (VertexId v = 0; v < num_vertices_; ++v) {
+            if (off[v] > off[v + 1])
+                return false;
+        }
+        return std::all_of(nbr.begin(), nbr.end(), in_range);
+    };
+    if (!valid_csr(out_offsets_, out_neighbors_))
         return false;
-    if (!std::all_of(in_neighbors_.begin(), in_neighbors_.end(), in_range))
-        return false;
+    if (symmetric_)
+        return true;
     // Arc-count consistency: sum of in-degrees equals sum of out-degrees.
-    if (out_neighbors_.size() != in_neighbors_.size())
-        return false;
-    return true;
+    return valid_csr(in_offsets_, in_neighbors_) &&
+           out_neighbors_.size() == in_neighbors_.size();
 }
 
 Graph
@@ -94,57 +157,70 @@ Graph::renumbered(const std::vector<VertexId> &order, unsigned jobs) const
     const VertexId n = num_vertices_;
     omega_assert(order.size() == n, "ordering size mismatch");
 
-    // Each new row's start, indexed by the vertex's old id, is its fill
-    // cursor.
-    std::vector<EdgeId> out_off(n + std::size_t(1));
-    std::vector<EdgeId> in_off(n + std::size_t(1));
-    std::vector<bool> seen(n, false);
-    EdgeId out_pos = 0;
-    EdgeId in_pos = 0;
+    // The new id of every old vertex; n marks one not named yet.
+    std::vector<VertexId> new_id(n, n);
     for (VertexId k = 0; k < n; ++k) {
         const VertexId v = order[k];
-        omega_assert(v < n && !seen[v], "ordering is not a permutation");
-        seen[v] = true;
-        out_off[v] = out_pos;
-        in_off[v] = in_pos;
-        out_pos += outDegree(v);
-        in_pos += inDegree(v);
+        omega_assert(v < n && new_id[v] == n,
+                     "ordering is not a permutation");
+        new_id[v] = k;
     }
 
-    // Each direction is the transpose of the other. Walking the new ids
-    // in ascending order through the opposite direction's rows fills
-    // every row sorted by neighbor, with parallel arcs in the weight
-    // order their source row kept, so no row needs sorting afterwards.
-    // The two directions share nothing they write, so they fill
-    // concurrently.
+    // Gather one stored direction: new row k is old row order[k] with
+    // its neighbors renamed, then sorted. Row ranges of about equal arc
+    // counts fill concurrently, each into its own rows through its own
+    // scratch of at most two rows. The in-CSR passes no weights.
+    const unsigned id_bits = n > 1 ? std::bit_width(n - 1) : 0;
+    auto gather = [&](const std::vector<EdgeId> &old_off,
+                      const VertexId *old_nbr, const std::int32_t *old_w,
+                      std::vector<EdgeId> &off, VertexId *nbr,
+                      std::int32_t *w) {
+        off.resize(n + std::size_t(1));
+        off[0] = 0;
+        for (VertexId k = 0; k < n; ++k)
+            off[k + 1] = off[k] + old_off[order[k] + 1] - old_off[order[k]];
+        const std::vector<VertexId> first = rowChunks(n, off.data(), jobs);
+        parallelFor(jobs, jobs, [&](std::size_t c) {
+            std::vector<std::uint64_t> row;
+            std::vector<std::uint64_t> tmp;
+            for (VertexId k = first[c]; k < first[c + 1]; ++k) {
+                const EdgeId from = old_off[order[k]];
+                const EdgeId to = off[k];
+                const EdgeId deg = off[k + 1] - to;
+                row.resize(deg);
+                tmp.resize(deg);
+                for (EdgeId i = 0; i < deg; ++i) {
+                    row[i] = packArc(new_id[old_nbr[from + i]],
+                                     old_w ? old_w[from + i] : 0);
+                }
+                sortArcs(row.data(), tmp.data(), deg, id_bits);
+                for (EdgeId i = 0; i < deg; ++i) {
+                    nbr[to + i] = static_cast<VertexId>(row[i] >> 32);
+                    if (w) {
+                        w[to + i] = static_cast<std::int32_t>(
+                            static_cast<std::uint32_t>(row[i]) ^ kSignBit);
+                    }
+                }
+            }
+        });
+    };
+
+    std::vector<EdgeId> out_off;
     std::vector<VertexId> out_nbr(out_neighbors_.size());
     std::vector<std::int32_t> out_w(out_weights_.size());
-    std::vector<VertexId> in_nbr(in_neighbors_.size());
-    std::vector<std::int32_t> in_w(in_weights_.size());
-    auto old_id = [&order](VertexId k) { return order[k]; };
-    parallelFor(2, jobs, [&](std::size_t direction) {
-        if (direction == 0) {
-            scatterTransposed(n, in_offsets_.data(), in_neighbors_.data(),
-                              in_weights_.data(), old_id, out_off.data(),
-                              out_nbr.data(), out_w.data());
-        } else {
-            scatterTransposed(n, out_offsets_.data(), out_neighbors_.data(),
-                              out_weights_.data(), old_id, in_off.data(),
-                              in_nbr.data(), in_w.data());
-        }
-    });
-
-    // The cursors are spent; lay the offsets down in new-id order.
-    out_off[0] = 0;
-    in_off[0] = 0;
-    for (VertexId k = 0; k < n; ++k) {
-        out_off[k + 1] = out_off[k] + outDegree(order[k]);
-        in_off[k + 1] = in_off[k] + inDegree(order[k]);
+    gather(out_offsets_, out_neighbors_.data(), out_weights_.data(), out_off,
+           out_nbr.data(), out_w.data());
+    std::vector<EdgeId> in_off;
+    std::vector<VertexId> in_nbr;
+    if (!symmetric_) {
+        in_nbr.resize(in_neighbors_.size());
+        gather(in_offsets_, in_neighbors_.data(), nullptr, in_off,
+               in_nbr.data(), nullptr);
     }
 
     return Graph(num_vertices_, std::move(out_off), std::move(out_nbr),
                  std::move(out_w), std::move(in_off), std::move(in_nbr),
-                 std::move(in_w), symmetric_);
+                 symmetric_);
 }
 
 EdgeList

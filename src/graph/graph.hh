@@ -23,9 +23,13 @@ namespace omega {
 /**
  * Immutable CSR graph.
  *
- * For directed graphs both directions are materialized (outgoing for the
- * push phase of edgeMap, incoming for the pull phase). For symmetric
- * (undirected) graphs the in-arrays alias the out-arrays.
+ * Each direction stores only what is read. The out-CSR keeps offsets,
+ * neighbors and weights: the push phase of edgeMap hands every arc's
+ * weight to the update. The in-CSR keeps offsets and neighbors: the pull
+ * phase reads no weight. A directed graph therefore holds 12 bytes per
+ * arc plus two offset arrays. A symmetric (undirected) graph's in-rows
+ * equal its out-rows, so it stores the out-CSR once (8 bytes per arc
+ * plus one offset array) and the in-accessors read the out arrays.
  */
 class Graph
 {
@@ -39,9 +43,10 @@ class Graph
      * @param out_offsets CSR row offsets for outgoing edges, size V+1.
      * @param out_neighbors destination vertex per outgoing edge.
      * @param out_weights weight per outgoing edge (same order).
-     * @param in_offsets CSR row offsets for incoming edges, size V+1.
-     * @param in_neighbors source vertex per incoming edge.
-     * @param in_weights weight per incoming edge.
+     * @param in_offsets CSR row offsets for incoming edges, size V+1;
+     *        empty when @p symmetric.
+     * @param in_neighbors source vertex per incoming edge; empty when
+     *        @p symmetric.
      * @param symmetric true if the graph is undirected (in == out).
      */
     Graph(VertexId num_vertices,
@@ -50,7 +55,6 @@ class Graph
           std::vector<std::int32_t> out_weights,
           std::vector<EdgeId> in_offsets,
           std::vector<VertexId> in_neighbors,
-          std::vector<std::int32_t> in_weights,
           bool symmetric);
 
     VertexId numVertices() const { return num_vertices_; }
@@ -69,7 +73,8 @@ class Graph
     }
     EdgeId inDegree(VertexId v) const
     {
-        return in_offsets_[v + 1] - in_offsets_[v];
+        const EdgeId *off = inOffsets();
+        return off[v + 1] - off[v];
     }
 
     /** Outgoing neighbors of @p v. */
@@ -81,8 +86,9 @@ class Graph
     /** Incoming neighbors of @p v. */
     std::span<const VertexId> inNeighbors(VertexId v) const
     {
-        return {in_neighbors_.data() + in_offsets_[v],
-                in_neighbors_.data() + in_offsets_[v + 1]};
+        const EdgeId *off = inOffsets();
+        const VertexId *nbr = inNbrs();
+        return {nbr + off[v], nbr + off[v + 1]};
     }
     /** Weights parallel to outNeighbors(v). */
     std::span<const std::int32_t> outWeights(VertexId v) const
@@ -90,17 +96,11 @@ class Graph
         return {out_weights_.data() + out_offsets_[v],
                 out_weights_.data() + out_offsets_[v + 1]};
     }
-    /** Weights parallel to inNeighbors(v). */
-    std::span<const std::int32_t> inWeights(VertexId v) const
-    {
-        return {in_weights_.data() + in_offsets_[v],
-                in_weights_.data() + in_offsets_[v + 1]};
-    }
 
     /** Global edge index of the first outgoing edge of @p v. */
     EdgeId outEdgeBase(VertexId v) const { return out_offsets_[v]; }
     /** Global edge index of the first incoming edge of @p v. */
-    EdgeId inEdgeBase(VertexId v) const { return in_offsets_[v]; }
+    EdgeId inEdgeBase(VertexId v) const { return inOffsets()[v]; }
 
     /** True if the CSR invariants hold (sorted offsets, ids in range). */
     bool validate() const;
@@ -110,16 +110,15 @@ class Graph
 
     /**
      * Rebuild the graph with new vertex k being old vertex @p order[k]
-     * (the inverse of permuted's argument; it needs no second n-sized
-     * array). Linear time: relies on the invariant buildGraph
-     * establishes, that the in- and out-CSR hold the same arcs with every
-     * row sorted by (neighbor, weight).
+     * (the inverse of permuted's argument). Each stored direction is
+     * gathered from itself: new row k is old row order[k], its neighbors
+     * renamed and the row sorted by (neighbor, weight).
      */
     Graph renumbered(const std::vector<VertexId> &order) const;
 
     /**
-     * renumbered() with its two directions filled on up to @p jobs
-     * threads; the one-argument form uses two from kParallelSetupEdges
+     * renumbered() with its rows split over up to @p jobs threads; the
+     * one-argument form uses every host core from kParallelSetupEdges
      * arcs on. The result does not depend on @p jobs.
      */
     Graph renumbered(const std::vector<VertexId> &order,
@@ -129,6 +128,18 @@ class Graph
     EdgeList toEdgeList() const;
 
   private:
+    /** The in-CSR arrays: the out arrays when symmetric. One branch
+     *  per call that never changes direction for a given graph, paid
+     *  per pull task, never per arc. */
+    const EdgeId *inOffsets() const
+    {
+        return symmetric_ ? out_offsets_.data() : in_offsets_.data();
+    }
+    const VertexId *inNbrs() const
+    {
+        return symmetric_ ? out_neighbors_.data() : in_neighbors_.data();
+    }
+
     VertexId num_vertices_ = 0;
     bool symmetric_ = false;
     std::vector<EdgeId> out_offsets_;
@@ -136,7 +147,6 @@ class Graph
     std::vector<std::int32_t> out_weights_;
     std::vector<EdgeId> in_offsets_;
     std::vector<VertexId> in_neighbors_;
-    std::vector<std::int32_t> in_weights_;
 };
 
 } // namespace omega

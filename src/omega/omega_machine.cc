@@ -274,26 +274,32 @@ OmegaMachine::readSrcProp(unsigned core, VertexId vertex,
 }
 
 void
-OmegaMachine::coreAtomic(const AtomicRequest &request)
+OmegaMachine::coreAtomic(const AtomicRequest &request,
+                         const std::optional<SpRoute> &route)
 {
     ++atomics_on_core_;
-    const auto route = controller_.route(request.addr, request.core);
     if (!route) {
         cacheAtomic(request);
         return;
     }
     // Scratchpad-resident but no PISC (SP-only ablation): the core
     // performs the locked read-modify-write against the scratchpad at
-    // word granularity.
+    // word granularity. Under atomics_as_plain it is a plain read and
+    // write, as on the cache path: no serialization, memory stalls.
     CoreModel &core = tiles_[request.core].core;
-    core.prepareIssue(StallKind::Atomic);
+    const bool plain = params_.atomics_as_plain;
+    const StallKind kind = plain ? StallKind::Memory : StallKind::Atomic;
+    core.prepareIssue(kind);
     const Cycles rlat = scratchpadAccess(request.core, *route, request.addr,
                                          request.size, false);
-    core.issueMemory(rlat, false, StallKind::Atomic);
-    core.serialize(params_.atomic_serialize, StallKind::Atomic);
+    core.issueMemory(rlat, false, kind);
+    if (plain)
+        core.compute(2);
+    else
+        core.serialize(params_.atomic_serialize, StallKind::Atomic);
     const Cycles wlat = scratchpadAccess(request.core, *route, request.addr,
                                          request.size, true);
-    core.issueMemory(wlat, false, StallKind::Atomic);
+    core.issueMemory(wlat, false, kind);
     if (request.activates_dense) {
         // The dense bit lives in the vertex's scratchpad line.
         const Cycles blat =
@@ -301,7 +307,7 @@ OmegaMachine::coreAtomic(const AtomicRequest &request)
         core.issueMemory(blat, false);
     }
     if (request.activates_sparse)
-        appendSparse(request.core, StallKind::Atomic);
+        appendSparse(request.core, kind);
 }
 
 std::optional<Cycles>
@@ -347,9 +353,9 @@ OmegaMachine::resolveOffloadFaults(const AtomicRequest &request,
     }
 
     // Retry budget exhausted: the engine persistently refuses this
-    // vertex. Degrade it to the cache path (poison first — coreAtomic
-    // re-routes, so the line must already be off the scratchpad path)
-    // and execute the atomic on the core.
+    // vertex. Degrade it to the cache path (poison first, so the fresh
+    // route finds the line off the scratchpad path) and execute the
+    // atomic on the core.
     controller_.poisonLine(request.vertex);
     injector_->recordLinePoisoned(route.home, request.vertex, arrival);
     if (injector_->registerScratchpadFault(route.home)) {
@@ -357,7 +363,7 @@ OmegaMachine::resolveOffloadFaults(const AtomicRequest &request,
         injector_->recordDemotion(route.home, arrival);
     }
     injector_->recordDegradedAtomic(route.home, request.vertex, arrival);
-    coreAtomic(request);
+    coreAtomic(request, controller_.route(request.addr, request.core));
     return std::nullopt;
 }
 
@@ -367,9 +373,9 @@ OmegaMachine::atomicUpdate(const AtomicRequest &request)
     ++atomics_total_;
     countVertexAccess(request.vertex);
 
-    auto route = controller_.route(request.addr, request.core);
+    const auto route = controller_.route(request.addr, request.core);
     if (!route || !params_.pisc_enabled) {
-        coreAtomic(request);
+        coreAtomic(request, route);
         return;
     }
 

@@ -129,9 +129,11 @@ class OmegaMachine : public CmpMachine
     Cycles scratchpadAccess(unsigned core, const SpRoute &route,
                             std::uint64_t addr, std::uint32_t bytes,
                             bool write);
-    /** Core-executed atomic: against the scratchpad when resident (the
-     *  SP-only ablation), otherwise the frame's cache-path atomic. */
-    void coreAtomic(const AtomicRequest &request);
+    /** Core-executed atomic: against the scratchpad when @p route says
+     *  resident (the SP-only ablation), otherwise the frame's
+     *  cache-path atomic. */
+    void coreAtomic(const AtomicRequest &request,
+                    const std::optional<SpRoute> &route);
 
     /**
      * Resolve injected delivery faults of one offload arriving at

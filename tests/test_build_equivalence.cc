@@ -2,21 +2,27 @@
  * @file
  * Byte-equivalence oracle for the linear-time graph kernels.
  *
- * buildGraph (a two-pass counting sort) and Graph::permuted (a sort-free
- * scatter) must produce exactly the CSR arrays of the comparison-sort
- * formulations kept below as references: every offset, neighbor and
- * weight. Inputs cover every FuzzSpec shape, including dirty edge lists
- * with duplicates and self loops, all eight BuildOptions combinations,
- * zero- and one-vertex graphs, and every ReorderKind. The chunked
- * kernels (buildGraph, renumbered and generateRmat split over threads)
- * must give the same bytes at every chunk count. The R-MAT edge list is
- * pinned by hash, so the generator's quadrant selection stays
- * bit-for-bit.
+ * buildGraph (a two-pass counting sort) and Graph::permuted (a per-row
+ * gather and sort) must produce exactly the CSR arrays of the
+ * comparison-sort formulations kept below as references: every offset,
+ * neighbor and out-weight (the in-CSR stores no weights). Inputs cover
+ * every FuzzSpec shape, including dirty edge lists with duplicates and
+ * self loops, all eight BuildOptions combinations, zero- and one-vertex
+ * graphs, and every ReorderKind. The chunked kernels (buildGraph,
+ * renumbered and generateRmat split over threads) must give the same
+ * bytes at every chunk count. The R-MAT edge list is pinned by hash, so
+ * the generator's quadrant selection stays bit-for-bit. The graph's
+ * storage is pinned too: its heap bytes per arc, and a symmetric graph's
+ * single CSR.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,10 +32,85 @@
 #include "testing/fuzz.hh"
 #include "util/rng.hh"
 
+namespace {
+
+/**
+ * Live heap bytes of this process. Every operator new below prefixes
+ * its block with the requested size, so delete can subtract it again.
+ */
+std::atomic<std::int64_t> g_live_heap_bytes{0};
+
+struct alignas(std::max_align_t) BlockHeader
+{
+    std::size_t size;
+};
+
+/** The counted block for @p size bytes, or null when out of memory. */
+void *
+countedAlloc(std::size_t size) noexcept
+{
+    auto *h = static_cast<BlockHeader *>(
+        std::malloc(sizeof(BlockHeader) + size));
+    if (!h)
+        return nullptr;
+    h->size = size;
+    g_live_heap_bytes += static_cast<std::int64_t>(size);
+    return h + 1;
+}
+
+void *
+countedNew(std::size_t size)
+{
+    if (void *p = countedAlloc(size))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+countedFree(void *p) noexcept
+{
+    if (!p)
+        return;
+    BlockHeader *h = static_cast<BlockHeader *>(p) - 1;
+    g_live_heap_bytes -= static_cast<std::int64_t>(h->size);
+    std::free(h);
+}
+
+} // namespace
+
+// Every unaligned form, so no block reaches a delete it did not come
+// from (std::stable_sort's buffer, for one, takes the nothrow form).
+void *operator new(std::size_t size) { return countedNew(size); }
+void *operator new[](std::size_t size) { return countedNew(size); }
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size);
+}
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size);
+}
+void operator delete(void *p) noexcept { countedFree(p); }
+void operator delete[](void *p) noexcept { countedFree(p); }
+void operator delete(void *p, std::size_t) noexcept { countedFree(p); }
+void operator delete[](void *p, std::size_t) noexcept { countedFree(p); }
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    countedFree(p);
+}
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    countedFree(p);
+}
+
 namespace omega {
 namespace {
 
-/** Both directions' CSR arrays of one graph. */
+/** Both directions' CSR arrays of one graph; in-rows carry no weight. */
 struct Csr
 {
     std::vector<EdgeId> out_off;
@@ -37,24 +118,27 @@ struct Csr
     std::vector<std::int32_t> out_w;
     std::vector<EdgeId> in_off;
     std::vector<VertexId> in_nbr;
-    std::vector<std::int32_t> in_w;
     bool symmetric = false;
 };
 
 /** One vertex's adjacency as (neighbor, weight) pairs. */
 using Row = std::vector<std::pair<VertexId, std::int32_t>>;
 
-/** Lay @p rows out as CSR arrays, each row sorted by (neighbor, weight). */
+/**
+ * Lay @p rows out as CSR arrays, each row sorted by (neighbor, weight);
+ * the weights are dropped when @p w is null.
+ */
 void
 flattenSorted(std::vector<Row> rows, std::vector<EdgeId> &off,
-              std::vector<VertexId> &nbr, std::vector<std::int32_t> &w)
+              std::vector<VertexId> &nbr, std::vector<std::int32_t> *w)
 {
     off.assign(1, 0);
     for (Row &row : rows) {
         std::sort(row.begin(), row.end());
         for (const auto &[v, weight] : row) {
             nbr.push_back(v);
-            w.push_back(weight);
+            if (w)
+                w->push_back(weight);
         }
         off.push_back(nbr.size());
     }
@@ -98,8 +182,8 @@ referenceBuild(VertexId n, EdgeList edges, const BuildOptions &opts)
     }
     Csr c;
     c.symmetric = opts.symmetrize;
-    flattenSorted(std::move(out), c.out_off, c.out_nbr, c.out_w);
-    flattenSorted(std::move(in), c.in_off, c.in_nbr, c.in_w);
+    flattenSorted(std::move(out), c.out_off, c.out_nbr, &c.out_w);
+    flattenSorted(std::move(in), c.in_off, c.in_nbr, nullptr);
     return c;
 }
 
@@ -115,15 +199,13 @@ referencePermuted(const Graph &g, const std::vector<VertexId> &perm)
         const auto ow = g.outWeights(v);
         for (std::size_t i = 0; i < on.size(); ++i)
             out[perm[v]].emplace_back(perm[on[i]], ow[i]);
-        const auto inn = g.inNeighbors(v);
-        const auto iw = g.inWeights(v);
-        for (std::size_t i = 0; i < inn.size(); ++i)
-            in[perm[v]].emplace_back(perm[inn[i]], iw[i]);
+        for (VertexId u : g.inNeighbors(v))
+            in[perm[v]].emplace_back(perm[u], 0);
     }
     Csr c;
     c.symmetric = g.symmetric();
-    flattenSorted(std::move(out), c.out_off, c.out_nbr, c.out_w);
-    flattenSorted(std::move(in), c.in_off, c.in_nbr, c.in_w);
+    flattenSorted(std::move(out), c.out_off, c.out_nbr, &c.out_w);
+    flattenSorted(std::move(in), c.in_off, c.in_nbr, nullptr);
     return c;
 }
 
@@ -144,8 +226,6 @@ csrOf(const Graph &g)
             c.out_w.push_back(w);
         for (VertexId u : g.inNeighbors(v))
             c.in_nbr.push_back(u);
-        for (std::int32_t w : g.inWeights(v))
-            c.in_w.push_back(w);
         c.out_off.push_back(c.out_nbr.size());
         c.in_off.push_back(c.in_nbr.size());
     }
@@ -166,7 +246,6 @@ expectSameCsr(const Graph &got_graph, const Csr &want,
     EXPECT_TRUE(got.out_w == want.out_w) << "out weights differ";
     EXPECT_TRUE(got.in_off == want.in_off) << "in offsets differ";
     EXPECT_TRUE(got.in_nbr == want.in_nbr) << "in neighbors differ";
-    EXPECT_TRUE(got.in_w == want.in_w) << "in weights differ";
 }
 
 /** The fixed fuzz matrix plus seeded specs of every non-degenerate family. */
@@ -316,6 +395,72 @@ TEST(BuildEquivalence, ChunkCountNeverChangesTheRenumbering)
                 }
             }
         }
+    }
+}
+
+TEST(GraphStorage, SymmetricInRowsAreTheOutRows)
+{
+    // A symmetric graph stores one CSR: its in-rows are its out-rows,
+    // the same storage, built or renumbered.
+    for (const testing::FuzzSpec &spec : specs()) {
+        VertexId n = 0;
+        const EdgeList edges = spec.rawEdges(n);
+        BuildOptions opts;
+        opts.symmetrize = true;
+        const Graph built = buildGraph(n, edges, opts);
+        const auto perm =
+            buildReorderPermutation(built, ReorderKind::Random, 0.2, 5);
+        for (const Graph &g : {built, built.permuted(perm)}) {
+            SCOPED_TRACE(spec.describe());
+            ASSERT_TRUE(g.symmetric());
+            for (VertexId v = 0; v < g.numVertices(); ++v) {
+                ASSERT_EQ(g.inEdgeBase(v), g.outEdgeBase(v)) << v;
+                ASSERT_EQ(g.inDegree(v), g.outDegree(v)) << v;
+                const auto in = g.inNeighbors(v);
+                const auto out = g.outNeighbors(v);
+                ASSERT_EQ(in.data(), out.data()) << v;
+                ASSERT_EQ(in.size(), out.size()) << v;
+            }
+        }
+    }
+}
+
+/** Heap bytes held by the graph @p make returns, and the graph. */
+template <typename MakeF>
+std::int64_t
+heldBytes(std::optional<Graph> &g, MakeF &&make)
+{
+    g.reset();
+    const std::int64_t before = g_live_heap_bytes;
+    g.emplace(make());
+    return g_live_heap_bytes - before;
+}
+
+TEST(GraphStorage, HeapBytesPerArc)
+{
+    // Directed: out neighbor, out weight and in neighbor, 12 bytes per
+    // arc, plus both offset arrays. Symmetric: the out-CSR alone, 8
+    // bytes per arc plus one offset array. Renumbering keeps the form.
+    // Below kParallelSetupEdges, so setup starts no threads.
+    Rng rng(3);
+    const VertexId n = 1 << 12;
+    const EdgeList edges = generateRmat(12, 8, rng);
+    for (const bool symmetric : {false, true}) {
+        SCOPED_TRACE(symmetric ? "symmetric" : "directed");
+        BuildOptions opts;
+        opts.symmetrize = symmetric;
+        std::optional<Graph> g;
+        const std::int64_t built = heldBytes(
+            g, [&] { return buildGraph(n, EdgeList(edges), opts); });
+        const auto arcs = static_cast<std::int64_t>(g->numArcs());
+        const std::int64_t offsets = 8 * (std::int64_t(n) + 1);
+        const std::int64_t want = symmetric ? 8 * arcs + offsets
+                                            : 12 * arcs + 2 * offsets;
+        EXPECT_EQ(built, want);
+        const auto perm =
+            buildReorderPermutation(*g, ReorderKind::InDegreeSort, 0.2, 1);
+        std::optional<Graph> r;
+        EXPECT_EQ(heldBytes(r, [&] { return g->permuted(perm); }), want);
     }
 }
 

@@ -519,6 +519,26 @@ TEST(MachineRegistry, PlainColdAtomicsChargeMemoryStalls)
     }
 }
 
+TEST(MachineRegistry, PlainResidentAtomicsChargeNoAtomicStalls)
+{
+    // On omega-sp-only a resident vertex's atomic runs on the core
+    // against the scratchpad. Under atomics_as_plain it is a plain read
+    // and write there too: no serialization, no atomic stalls, the
+    // sparse-list append included.
+    const MachineRegistryEntry &entry = machineEntry("omega-sp-only");
+    MachineParams p = entry.make_params().scaledCapacities(1.0 / 256);
+    p.atomics_as_plain = true;
+    auto m = entry.make(p);
+    m->configure(config(100000));
+    for (VertexId i = 0; i < 400; ++i)
+        issue(*m, 0, atomicOn(i, 8, /*activates_sparse=*/true));
+    m->barrier();
+    const StatsReport r = m->report();
+    EXPECT_EQ(r.atomics_on_core, 400u);
+    EXPECT_GE(r.sp_accesses, 800u); // every read and write is resident
+    EXPECT_EQ(r.atomic_stall_cycles, 0u);
+}
+
 // --- Armed artifacts, pinned per machine ----------------------------
 
 /** FNV-1a 64-bit over @p bytes. */

@@ -411,8 +411,9 @@ TEST(MachineObservability, TracingNeverChangesTiming)
         const StatsReport b = traced->report();
         for (const StatsField &f : StatsReport::fields())
             EXPECT_EQ(a.*(f.member), b.*(f.member)) << f.name;
-        if (trace::compiledIn())
+        if (trace::compiledIn()) {
             EXPECT_GT(sink.numEvents(), 0u);
+        }
     }
 }
 

@@ -70,8 +70,9 @@ runSmallSweep(unsigned jobs, const std::string &tag)
         sweep.add(sd, AlgorithmKind::PageRank, MachineKind::Omega, widen);
         // Over-planning a duplicate is harmless.
         sweep.add(sd, AlgorithmKind::PageRank, MachineKind::Baseline);
-        if (jobs > 1)
+        if (jobs > 1) {
             EXPECT_EQ(sweep.pending(), 5u);
+        }
         sweep.run();
         EXPECT_EQ(sweep.pending(), 0u);
 

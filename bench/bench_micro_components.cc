@@ -120,13 +120,16 @@ BENCHMARK(BM_SvbLookup);
 
 /**
  * Args: scale, chunk count. Wall time, since chunks run on their own
- * threads; scale 16 runs at 1 chunk and at the host's core count.
+ * threads; scale 16 runs at 1 chunk and at the host's core count. The
+ * label names the kernel that ran: one chunk is the sequential scalar
+ * loop, more take the host's chunk kernel ("lanes8" or "scalar").
  */
 void
 BM_RmatGeneration(benchmark::State &state)
 {
     const auto scale = static_cast<unsigned>(state.range(0));
     const auto chunks = static_cast<unsigned>(state.range(1));
+    state.SetLabel(chunks > 1 ? rmatChunkKernel() : "scalar");
     for (auto _ : state) {
         Rng rng(5);
         auto edges = generateRmat(scale, 8, rng, RmatParams{}, chunks);

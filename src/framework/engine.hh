@@ -433,12 +433,15 @@ class Engine
      *  second phase. */
     void mergeExtraTasks();
 
-    /** Process one edge task (prologue + its slice of edges). */
+    /**
+     * Process one edge task (prologue + its slice of edges). @p dense
+     * is edgeMap's representation: a bitmap frontier with bitmap output,
+     * or (false) an id-list frontier with per-core id-list output.
+     */
     template <typename UpdateF, typename VertexHookF>
     void processEdgeTask(unsigned core, const EdgeTask &task,
                          UpdateF &&update, VertexHookF &&vertex_hook,
-                         bool want_output, bool dense_output,
-                         bool sparse_frontier);
+                         bool want_output, bool dense);
 
     /** Record dst as newly activated; true if it was not active yet. */
     bool markActive(unsigned core, VertexId dst, bool dense_output);
@@ -626,8 +629,7 @@ template <typename UpdateF, typename VertexHookF>
 void
 Engine::processEdgeTask(unsigned core, const EdgeTask &task,
                         UpdateF &&update, VertexHookF &&vertex_hook,
-                        bool want_output, bool dense_output,
-                        bool sparse_frontier)
+                        bool want_output, bool dense)
 {
     // Push-direction tasks are impure — op content depends on what the
     // update lambda did — so they cannot be scripted ahead. Instead the
@@ -648,15 +650,15 @@ Engine::processEdgeTask(unsigned core, const EdgeTask &task,
     const bool sim = mach_ != nullptr;
     if (task.first_segment) {
         if (sim) {
-            if (sparse_frontier) {
+            if (dense) {
+                op_buf_.push(EngineOp::load(
+                    dense_active_base_ + u, 1, AccessClass::ActiveList,
+                    false, 0, /*sequential=*/true));
+            } else {
                 op_buf_.push(EngineOp::load(
                     sparse_read_base_ + 4 * task.frontier_slot, 4,
                     AccessClass::ActiveList, false, 0,
                     /*sequential=*/true));
-            } else {
-                op_buf_.push(EngineOp::load(
-                    dense_active_base_ + u, 1, AccessClass::ActiveList,
-                    false, 0, /*sequential=*/true));
             }
             op_buf_.push(EngineOp::compute(1));
         }
@@ -670,7 +672,7 @@ Engine::processEdgeTask(unsigned core, const EdgeTask &task,
             op_buf_.push(EngineOp::load(
                 out_offsets_base_ + static_cast<std::uint64_t>(u) * 8, 16,
                 AccessClass::EdgeList, false, 0,
-                /*sequential=*/!sparse_frontier));
+                /*sequential=*/dense));
             op_buf_.push(EngineOp::compute(opts_.ops_per_vertex));
         }
         if constexpr (!std::is_same_v<std::decay_t<VertexHookF>,
@@ -710,14 +712,13 @@ Engine::processEdgeTask(unsigned core, const EdgeTask &task,
                 AccessClass::VertexProp, false, dst));
         }
         const bool newly =
-            (r.activated && want_output) ? markActive(core, dst, dense_output)
-                                         : false;
+            (r.activated && want_output) ? markActive(core, dst, dense) : false;
         if (r.performed_atomic && atomic_target_ && sim) {
             op_buf_.push(EngineOp::atomic(
                 dst, atomic_target_->addrOf(dst),
                 atomic_target_->typeSize(),
                 static_cast<std::uint8_t>(fn_.operand_bytes),
-                newly && dense_output, newly && !dense_output));
+                newly && dense, newly && !dense));
         }
         if (sim)
             op_buf_.push(EngineOp::compute(opts_.ops_per_edge));
@@ -769,7 +770,7 @@ Engine::edgeMap(const VertexSubset &frontier, UpdateF &&update,
     // work spreads over all cores (Ligra's edge parallelism).
     std::vector<EdgeTask> &extras = extra_scratch_;
     extras.clear();
-    auto run_hub_slices = [&](bool sparse_frontier) {
+    auto run_hub_slices = [&]() {
         if (extras.empty())
             return;
         mergeExtraTasks();
@@ -777,8 +778,7 @@ Engine::edgeMap(const VertexSubset &frontier, UpdateF &&update,
             extras.size(),
             [&](unsigned core, std::uint64_t idx) {
                 processEdgeTask(core, extras[idx], update, vertex_hook,
-                                want_output, !sparse_frontier,
-                                sparse_frontier);
+                                want_output, dense);
             },
             /*chunk=*/1);
     };
@@ -800,10 +800,9 @@ Engine::edgeMap(const VertexSubset &frontier, UpdateF &&update,
             const auto v = static_cast<VertexId>(idx);
             processEdgeTask(core, firstTask(v, g_.outDegree(v), bits[v] != 0),
                             update, vertex_hook, want_output,
-                            /*dense_output=*/true,
-                            /*sparse_frontier=*/false);
+                            /*dense=*/true);
         });
-        run_hub_slices(/*sparse_frontier=*/false);
+        run_hub_slices();
         VertexSubset out(n);
         if (want_output)
             out = VertexSubset::fromDense(std::move(next_dense_));
@@ -817,10 +816,9 @@ Engine::edgeMap(const VertexSubset &frontier, UpdateF &&update,
     parallelFor(ids.size(), [&](unsigned core, std::uint64_t slot) {
         const VertexId u = ids[slot];
         processEdgeTask(core, firstTask(u, g_.outDegree(u), true, slot),
-                        update, vertex_hook, want_output,
-                        /*dense_output=*/false, /*sparse_frontier=*/true);
+                        update, vertex_hook, want_output, /*dense=*/false);
     });
-    run_hub_slices(/*sparse_frontier=*/true);
+    run_hub_slices();
 
     VertexSubset out(n);
     if (want_output) {

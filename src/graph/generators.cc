@@ -43,7 +43,120 @@ rmatEdge(unsigned scale, Rng &rng, const RmatParams &params, double d)
     return Edge{src, dst, w};
 }
 
+#if defined(__x86_64__)
+
+using U64x8 = std::uint64_t __attribute__((vector_size(64)));
+using F64x8 = double __attribute__((vector_size(64)));
+
+/** Rng::next on eight streams at once, word w of lane l in s[w][l]. */
+__attribute__((target("avx512f,avx512dq"), always_inline)) inline U64x8
+next8(U64x8 (&s)[4])
+{
+    const U64x8 x = s[1] * 5;
+    const U64x8 result = ((x << 7) | (x >> 57)) * 9;
+    const U64x8 t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = (s[3] << 45) | (s[3] >> 19);
+    return result;
+}
+
+/** Rng::nextDouble's map of eight draws into [0, 1); exact below 2^53. */
+__attribute__((target("avx512f,avx512dq"), always_inline)) inline F64x8
+unit8(U64x8 x)
+{
+    return __builtin_convertvector(x >> 11, F64x8) * 0x1.0p-53;
+}
+
+/**
+ * The chunk's arcs [begin, end) as 8 lanes of consecutive arcs, each
+ * lane on its own xoshiro256** stream started where the sequential draw
+ * reaches its first arc; all eight streams step together, and a lane
+ * past its last arc draws on but stores nothing. Each lane does
+ * rmatEdge's double arithmetic in the same order, and the project
+ * compiles with -ffp-contract=off, so no multiply-add fuses and every
+ * arc is the sequential draw's bit for bit. The weight is 1 + the top
+ * log2(max_weight) bits of the draw, which for a power-of-two bound is
+ * exactly nextBounded's result: it never redraws.
+ */
+__attribute__((target("avx512f,avx512dq"))) void
+rmatLanes8(unsigned scale, const Rng &rng, const RmatParams &params,
+           double d, EdgeId begin, EdgeId end, Edge *edges)
+{
+    constexpr unsigned kLanes = 8;
+    const std::uint64_t draws = 2 * std::uint64_t(scale) + 1;
+    const EdgeId len = end - begin;
+    EdgeId first[kLanes];
+    EdgeId count[kLanes];
+    U64x8 s[4];
+    for (unsigned l = 0; l < kLanes; ++l) {
+        first[l] = begin + len * l / kLanes;
+        count[l] = begin + len * (l + 1) / kLanes - first[l];
+        Rng lane = rng;
+        lane.advance(first[l] * draws);
+        for (int w = 0; w < 4; ++w)
+            s[w][l] = lane.stateWords()[w];
+    }
+    // (x >> (63 - k)) >> 1 keeps the shift defined when max_weight is 1.
+    const unsigned weight_shift =
+        63 - static_cast<unsigned>(std::countr_zero(
+                 static_cast<std::uint32_t>(params.max_weight)));
+    const EdgeId steps = (len + kLanes - 1) / kLanes;
+    for (EdgeId i = 0; i < steps; ++i) {
+        U64x8 src = {};
+        U64x8 dst = {};
+        for (unsigned level = 0; level < scale; ++level) {
+            const F64x8 noise = 0.9 + 0.2 * unit8(next8(s));
+            const F64x8 a = params.a * noise;
+            const F64x8 ab = a + params.b;
+            const F64x8 abc = ab + params.c;
+            const F64x8 norm = abc + d;
+            const F64x8 r = unit8(next8(s)) * norm;
+            src = (src << 1) | ((U64x8)(r >= ab) & 1);
+            dst = (dst << 1) |
+                  ((U64x8)(((r >= a) & (r < ab)) | (r >= abc)) & 1);
+        }
+        const U64x8 w = 1 + ((next8(s) >> weight_shift) >> 1);
+        for (unsigned l = 0; l < kLanes; ++l) {
+            if (i < count[l]) {
+                edges[first[l] + i] =
+                    Edge{static_cast<VertexId>(src[l]),
+                         static_cast<VertexId>(dst[l]),
+                         static_cast<std::int32_t>(w[l])};
+            }
+        }
+    }
+}
+
+/** The host runs rmatLanes8: decided once, on the CPU's feature bits. */
+bool
+useRmatLanes8()
+{
+    static const bool ok = __builtin_cpu_supports("avx512f") &&
+                           __builtin_cpu_supports("avx512dq");
+    return ok;
+}
+
+#else
+
+bool
+useRmatLanes8()
+{
+    return false;
+}
+
+#endif
+
 } // namespace
+
+const char *
+rmatChunkKernel()
+{
+    return useRmatLanes8() ? "lanes8" : "scalar";
+}
 
 EdgeList
 generateRmat(unsigned scale, unsigned edge_factor, Rng &rng,
@@ -82,6 +195,12 @@ generateRmat(unsigned scale, unsigned edge_factor, Rng &rng,
     parallelFor(chunks, chunks, [&](std::size_t c) {
         const EdgeId begin = m * c / chunks;
         const EdgeId end = m * (c + 1) / chunks;
+#if defined(__x86_64__)
+        if (useRmatLanes8()) {
+            rmatLanes8(scale, rng, params, d, begin, end, edges.data());
+            return;
+        }
+#endif
         Rng chunk_rng = rng;
         chunk_rng.advance(begin * draws);
         for (EdgeId i = begin; i < end; ++i)

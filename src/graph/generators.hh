@@ -54,6 +54,14 @@ EdgeList generateRmat(unsigned scale, unsigned edge_factor, Rng &rng,
                       const RmatParams &params, unsigned chunks);
 
 /**
+ * The kernel each chunk of that chunked draw runs on this host: "lanes8"
+ * (eight jumped-ahead streams stepped together in 512-bit vectors) when
+ * the CPU has AVX-512F and AVX-512DQ, else "scalar" (one stream, one arc
+ * at a time). Both give the same bytes.
+ */
+const char *rmatChunkKernel();
+
+/**
  * Generate a Barabasi-Albert preferential-attachment graph (undirected
  * edge list; symmetrize when building). Produces a clean power law, the
  * "preferential attachment" mechanism the paper cites for natural graphs.

@@ -9,8 +9,9 @@
  * every FuzzSpec shape, including dirty edge lists with duplicates and
  * self loops, all eight BuildOptions combinations, zero- and one-vertex
  * graphs, and every ReorderKind. The chunked kernels (buildGraph,
- * renumbered and generateRmat split over threads) must give the same
- * bytes at every chunk count. The R-MAT edge list is pinned by hash, so
+ * renumbered and generateRmat split over threads, each R-MAT chunk as
+ * eight vector lanes on AVX-512DQ hosts) must give the same bytes at
+ * every chunk count. The R-MAT edge list is pinned by hash, so
  * the generator's quadrant selection stays bit-for-bit. The graph's
  * storage is pinned too: its heap bytes per arc, and a symmetric graph's
  * single CSR.
@@ -24,9 +25,11 @@
 #include <new>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/builder.hh"
+#include "graph/datasets.hh"
 #include "graph/generators.hh"
 #include "graph/reorder.hh"
 #include "testing/fuzz.hh"
@@ -551,6 +554,35 @@ TEST(BuildEquivalence, ChunkCountNeverChangesTheRmatDraws)
     for (unsigned chunks : {2u, 3u, 7u}) {
         expectSameDraw(drawRmat(16, 8, params, chunks), want,
                        "chunks=" + std::to_string(chunks));
+    }
+}
+
+TEST(BuildEquivalence, RmatLanesMatchTheSequentialDraws)
+{
+    // Each chunk draws as 8 lanes of consecutive arcs (on AVX-512DQ
+    // hosts). Arc counts of 6 (fewer than one chunk's lanes: some lanes
+    // are empty) and 40 (no multiple of 8 * chunks: lanes are uneven)
+    // sit beside larger ones, under every R-MAT dataset's quadrant
+    // probabilities.
+    RecordProperty("rmat_kernel", rmatChunkKernel());
+    const std::pair<unsigned, unsigned> shapes[] = {
+        {1, 3}, {3, 5}, {10, 7}, {16, 2}};
+    for (const DatasetSpec &spec : allDatasets()) {
+        if (spec.family != DatasetFamily::Rmat)
+            continue;
+        RmatParams params;
+        params.a = spec.rmat_a;
+        params.b = spec.rmat_b;
+        params.c = spec.rmat_c;
+        for (const auto &[scale, edge_factor] : shapes) {
+            const RmatDraw want = drawRmat(scale, edge_factor, params, 1);
+            for (unsigned chunks : {2u, 3u, 4u, 7u}) {
+                expectSameDraw(drawRmat(scale, edge_factor, params, chunks),
+                               want,
+                               spec.name + " scale=" + std::to_string(scale) +
+                                   " chunks=" + std::to_string(chunks));
+            }
+        }
     }
 }
 

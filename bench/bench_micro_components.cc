@@ -11,6 +11,7 @@
 #include "algorithms/pagerank.hh"
 #include "framework/engine.hh"
 #include "graph/builder.hh"
+#include "graph/datasets.hh"
 #include "graph/generators.hh"
 #include "graph/reorder.hh"
 #include "omega/pisc.hh"
@@ -169,7 +170,7 @@ BENCHMARK(BM_CsrBuild)
 
 /**
  * Args: chunk count. A scale-16 R-MAT graph renumbered into its
- * in-degree order, every row gathered and sorted; wall time, as for
+ * in-degree order, every out-row gathered and sorted; wall time, as for
  * BM_CsrBuild.
  */
 void
@@ -192,6 +193,34 @@ BM_Renumber(benchmark::State &state)
 BENCHMARK(BM_Renumber)
     ->Arg(1)
     ->Arg(ThreadPool::hardwareJobs())
+    ->UseRealTime();
+
+/**
+ * Args: dataset (0 = rMat, 1 = wiki), chunk count. The one-time
+ * transpose of a directed graph's out-CSR into its in-neighbors, which
+ * its first pull read pays; both datasets are scale-16 R-MAT graphs,
+ * renumbered hot-first as the figure harness loads them. Wall time, as
+ * for BM_CsrBuild.
+ */
+void
+BM_InArcs(benchmark::State &state)
+{
+    const char *name = state.range(0) == 0 ? "rMat" : "wiki";
+    const auto chunks = static_cast<unsigned>(state.range(1));
+    state.SetLabel(name);
+    const Graph g =
+        reorderGraph(buildDataset(name, 42), ReorderKind::InDegreeNthElement);
+    for (auto _ : state) {
+        auto in = g.transposedInNeighbors(chunks);
+        benchmark::DoNotOptimize(in.data());
+    }
+    state.SetItemsProcessed(state.iterations() * g.numArcs());
+}
+BENCHMARK(BM_InArcs)
+    ->Args({0, 1})
+    ->Args({0, ThreadPool::hardwareJobs()})
+    ->Args({1, 1})
+    ->Args({1, ThreadPool::hardwareJobs()})
     ->UseRealTime();
 
 void

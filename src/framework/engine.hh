@@ -840,6 +840,9 @@ Engine::edgeMapPullAll(const PropArrayBase &src_prop,
                        ApplyF &&apply)
 {
     const VertexId n = g_.numVertices();
+    // The in-CSR, fetched once per phase: a directed graph's first fetch
+    // builds its in-neighbors.
+    const InArcs in = g_.inArcs();
     // One task per destination, derived from its index; hubs split by
     // in-degree, their slices listed.
     std::vector<EdgeTask> &extras = extra_scratch_;
@@ -860,8 +863,8 @@ Engine::edgeMapPullAll(const PropArrayBase &src_prop,
                 AccessClass::EdgeList, false, 0, /*sequential=*/true));
             b.push(EngineOp::compute(opts_.ops_per_vertex));
         }
-        const auto nbrs = g_.inNeighbors(dst);
-        const EdgeId base = g_.inEdgeBase(dst);
+        const auto nbrs = in.row(dst);
+        const EdgeId base = in.base(dst);
         const std::size_t end = task.offset + task.count;
         for (std::size_t i = task.offset; i < end; ++i) {
             b.push(EngineOp::load(
@@ -883,7 +886,7 @@ Engine::edgeMapPullAll(const PropArrayBase &src_prop,
     };
     auto hook_task = [&](unsigned core, const EdgeTask &task) {
         const VertexId dst = task.u;
-        const auto nbrs = g_.inNeighbors(dst);
+        const auto nbrs = in.row(dst);
         const std::size_t end = task.offset + task.count;
         for (std::size_t i = task.offset; i < end; ++i)
             gather(core, dst, nbrs[i]);

@@ -5,10 +5,11 @@
  * Construction is linear in vertices plus arcs. A stable two-pass
  * counting sort (least significant key first: destination, then source)
  * lays the out-CSR down with every row already sorted by destination.
- * For a directed graph, scattering the finished out-CSR in ascending
- * source order then gives in-rows that are sorted too; a symmetric graph
- * stores the out-CSR alone. Every row ends up ordered by (neighbor,
- * weight), with no comparison sort except inside runs of parallel arcs.
+ * A directed graph also gets its in-degrees, counted from the finished
+ * out-CSR; its in-rows wait for their first read (Graph::inArcs). A
+ * symmetric graph stores the out-CSR alone. Every row ends up ordered by
+ * (neighbor, weight), with no comparison sort except inside runs of
+ * parallel arcs.
  *
  * Every pass splits its input into contiguous chunks. A counting sort
  * stays stable when every chunk gets its own cursor per key, starting
@@ -41,95 +42,6 @@ struct Arc
     VertexId nbr;
     std::int32_t w;
 };
-
-/**
- * Per-(chunk, key) item counts over contiguous input chunks, turned into
- * per-chunk fill cursors. 32-bit, so one sort places fewer than 2^32
- * items.
- */
-class ChunkCursors
-{
-  public:
-    ChunkCursors(unsigned chunks, VertexId keys)
-        : chunks_(chunks), keys_(keys),
-          table_(std::make_unique_for_overwrite<std::uint32_t[]>(
-              std::size_t(chunks) * keys))
-    {
-    }
-
-    unsigned chunks() const { return chunks_; }
-
-    /** Chunk @p c's counts or cursors, one per key. */
-    std::uint32_t *row(unsigned c)
-    {
-        return table_.get() + std::size_t(c) * keys_;
-    }
-
-    /**
-     * Chunk @p c's counts, zeroed. Called by the worker that counts the
-     * chunk, so that worker touches the row first.
-     */
-    std::uint32_t *zeroedRow(unsigned c)
-    {
-        std::fill_n(row(c), keys_, 0u);
-        return row(c);
-    }
-
-    /**
-     * Turn the counts into cursors by an exclusive prefix sum in (key,
-     * chunk) order, so chunk c's items of key k land after every earlier
-     * chunk's. Key k's first position goes to starts[k], and the item
-     * count to starts[keys]; @p starts must hold keys + 1 entries.
-     */
-    void countsToCursors(std::vector<EdgeId> &starts)
-    {
-        std::uint32_t next = 0;
-        for (VertexId k = 0; k < keys_; ++k) {
-            starts[k] = next;
-            for (unsigned c = 0; c < chunks_; ++c) {
-                const std::uint32_t count = row(c)[k];
-                row(c)[k] = next;
-                next += count;
-            }
-        }
-        starts[keys_] = next;
-    }
-
-  private:
-    unsigned chunks_;
-    VertexId keys_;
-    std::unique_ptr<std::uint32_t[]> table_;
-};
-
-/**
- * Transpose the n rows of a CSR with offsets @p off into @p t_off and the
- * slots put() fills. Row ranges of about equal arc counts count their
- * arcs per target row, then scatter them in ascending row order:
- * put(pos, k, i) places arc i of row k at position pos of its target
- * row, whose key is nbr_of(i). Target rows fill sorted by k, and arcs
- * of one row and one target keep their order.
- */
-template <typename NbrOf, typename Put>
-void
-transpose(VertexId n, const EdgeId *off, NbrOf nbr_of, ChunkCursors &cursors,
-          std::vector<EdgeId> &t_off, Put put)
-{
-    const unsigned chunks = cursors.chunks();
-    const std::vector<VertexId> first = rowChunks(n, off, chunks);
-    parallelFor(chunks, chunks, [&](std::size_t c) {
-        std::uint32_t *count = cursors.zeroedRow(c);
-        for (EdgeId i = off[first[c]]; i < off[first[c + 1]]; ++i)
-            ++count[nbr_of(i)];
-    });
-    cursors.countsToCursors(t_off);
-    parallelFor(chunks, chunks, [&](std::size_t c) {
-        std::uint32_t *cursor = cursors.row(c);
-        for (VertexId k = first[c]; k < first[c + 1]; ++k) {
-            for (EdgeId i = off[k]; i < off[k + 1]; ++i)
-                put(cursor[nbr_of(i)]++, k, i);
-        }
-    });
-}
 
 } // namespace
 
@@ -260,24 +172,20 @@ buildGraph(VertexId num_vertices, EdgeList edges, const BuildOptions &opts,
     });
     by_src.reset();
 
-    std::vector<VertexId> in_nbr;
     if (opts.symmetrize) {
         // The arcs are closed under reversal, so in-rows equal out-rows
         // and the graph stores only the out-CSR.
         std::vector<EdgeId>().swap(in_off);
     } else {
-        // Scattering in ascending source order sorts each in-row by
-        // source. The in-CSR keeps no weights.
-        in_nbr.resize(kept);
-        transpose(
+        // The graph keeps in-degrees only; it transposes its out-CSR
+        // into in-rows on their first read.
+        transposedOffsets(
             n, out_off.data(), [&](EdgeId i) { return out_nbr[i]; },
-            cursors, in_off,
-            [&](EdgeId pos, VertexId s, EdgeId) { in_nbr[pos] = s; });
+            cursors, in_off);
     }
 
     return Graph(num_vertices, std::move(out_off), std::move(out_nbr),
-                 std::move(out_w), std::move(in_off), std::move(in_nbr),
-                 opts.symmetrize);
+                 std::move(out_w), std::move(in_off), opts.symmetrize);
 }
 
 } // namespace omega

@@ -77,27 +77,54 @@ Graph::Graph(VertexId num_vertices,
              std::vector<VertexId> out_neighbors,
              std::vector<std::int32_t> out_weights,
              std::vector<EdgeId> in_offsets,
-             std::vector<VertexId> in_neighbors,
              bool symmetric)
     : num_vertices_(num_vertices),
       symmetric_(symmetric),
       out_offsets_(std::move(out_offsets)),
       out_neighbors_(std::move(out_neighbors)),
       out_weights_(std::move(out_weights)),
-      in_offsets_(std::move(in_offsets)),
-      in_neighbors_(std::move(in_neighbors))
+      in_offsets_(std::move(in_offsets))
 {
     omega_assert(out_offsets_.size() == num_vertices_ + std::size_t(1),
                  "out offsets size mismatch");
     omega_assert(out_neighbors_.size() == out_weights_.size(),
                  "out weights size mismatch");
     if (symmetric_) {
-        omega_assert(in_offsets_.empty() && in_neighbors_.empty(),
-                     "a symmetric graph stores one CSR");
+        omega_assert(in_offsets_.empty(), "a symmetric graph stores one CSR");
     } else {
         omega_assert(in_offsets_.size() == num_vertices_ + std::size_t(1),
                      "in offsets size mismatch");
+        in_neighbors_ = std::make_shared<LazyInNeighbors>();
     }
+}
+
+std::vector<VertexId>
+Graph::transposedInNeighbors(unsigned jobs) const
+{
+    omega_assert(!symmetric_, "a symmetric graph's in-rows are its out-rows");
+    // Scattering the out-CSR in ascending source order sorts every
+    // in-row by source, with parallel arcs side by side.
+    const VertexId n = num_vertices_;
+    ChunkCursors cursors(jobs, n);
+    std::vector<EdgeId> off(n + std::size_t(1));
+    std::vector<VertexId> nbr(numArcs());
+    transpose(
+        n, out_offsets_.data(),
+        [this](EdgeId i) { return out_neighbors_[i]; }, cursors, off,
+        [&nbr](EdgeId pos, VertexId s, EdgeId) { nbr[pos] = s; });
+    omega_assert(off == in_offsets_, "in-offsets disagree with the out-CSR");
+    return nbr;
+}
+
+const VertexId *
+Graph::cachedInNeighbors() const
+{
+    if (!in_neighbors_)
+        return nullptr; // a default-constructed graph: no rows
+    std::call_once(in_neighbors_->built, [this] {
+        in_neighbors_->nbr = transposedInNeighbors(setupChunks(numArcs()));
+    });
+    return in_neighbors_->nbr.data();
 }
 
 bool
@@ -109,26 +136,32 @@ Graph::validate() const
         return false;
     if (!symmetric_ && in_offsets_.size() != num_vertices_ + std::size_t(1))
         return false;
-    auto in_range = [this](VertexId u) { return u < num_vertices_; };
-    // One stored direction: sorted offsets that end at its arc count,
-    // and every neighbor id in range.
-    auto valid_csr = [&](const std::vector<EdgeId> &off,
-                         const std::vector<VertexId> &nbr) {
-        if (off.front() != 0 || off.back() != nbr.size())
+    // The out-CSR: sorted offsets that end at its arc count, and every
+    // neighbor id in range.
+    if (out_offsets_.front() != 0 ||
+        out_offsets_.back() != out_neighbors_.size())
+        return false;
+    for (VertexId v = 0; v < num_vertices_; ++v) {
+        if (out_offsets_[v] > out_offsets_[v + 1])
             return false;
-        for (VertexId v = 0; v < num_vertices_; ++v) {
-            if (off[v] > off[v + 1])
-                return false;
-        }
-        return std::all_of(nbr.begin(), nbr.end(), in_range);
-    };
-    if (!valid_csr(out_offsets_, out_neighbors_))
+    }
+    if (!std::all_of(out_neighbors_.begin(), out_neighbors_.end(),
+                     [this](VertexId u) { return u < num_vertices_; }))
         return false;
     if (symmetric_)
         return true;
-    // Arc-count consistency: sum of in-degrees equals sum of out-degrees.
-    return valid_csr(in_offsets_, in_neighbors_) &&
-           out_neighbors_.size() == in_neighbors_.size();
+    // The in-offsets: every in-degree is the number of arcs into its
+    // vertex, so the in-rows transposed from the out-CSR fit them.
+    std::vector<EdgeId> into(num_vertices_, 0);
+    for (VertexId u : out_neighbors_)
+        ++into[u];
+    if (in_offsets_.front() != 0)
+        return false;
+    for (VertexId v = 0; v < num_vertices_; ++v) {
+        if (in_offsets_[v + 1] - in_offsets_[v] != into[v])
+            return false;
+    }
+    return true;
 }
 
 Graph
@@ -166,61 +199,49 @@ Graph::renumbered(const std::vector<VertexId> &order, unsigned jobs) const
         new_id[v] = k;
     }
 
-    // Gather one stored direction: new row k is old row order[k] with
-    // its neighbors renamed, then sorted. Row ranges of about equal arc
-    // counts fill concurrently, each into its own rows through its own
-    // scratch of at most two rows. The in-CSR passes no weights.
-    const unsigned id_bits = n > 1 ? std::bit_width(n - 1) : 0;
-    auto gather = [&](const std::vector<EdgeId> &old_off,
-                      const VertexId *old_nbr, const std::int32_t *old_w,
-                      std::vector<EdgeId> &off, VertexId *nbr,
-                      std::int32_t *w) {
-        off.resize(n + std::size_t(1));
-        off[0] = 0;
-        for (VertexId k = 0; k < n; ++k)
-            off[k + 1] = off[k] + old_off[order[k] + 1] - old_off[order[k]];
-        const std::vector<VertexId> first = rowChunks(n, off.data(), jobs);
-        parallelFor(jobs, jobs, [&](std::size_t c) {
-            std::vector<std::uint64_t> row;
-            std::vector<std::uint64_t> tmp;
-            for (VertexId k = first[c]; k < first[c + 1]; ++k) {
-                const EdgeId from = old_off[order[k]];
-                const EdgeId to = off[k];
-                const EdgeId deg = off[k + 1] - to;
-                row.resize(deg);
-                tmp.resize(deg);
-                for (EdgeId i = 0; i < deg; ++i) {
-                    row[i] = packArc(new_id[old_nbr[from + i]],
-                                     old_w ? old_w[from + i] : 0);
-                }
-                sortArcs(row.data(), tmp.data(), deg, id_bits);
-                for (EdgeId i = 0; i < deg; ++i) {
-                    nbr[to + i] = static_cast<VertexId>(row[i] >> 32);
-                    if (w) {
-                        w[to + i] = static_cast<std::int32_t>(
-                            static_cast<std::uint32_t>(row[i]) ^ kSignBit);
-                    }
-                }
-            }
-        });
-    };
-
-    std::vector<EdgeId> out_off;
+    // New out-row k is old out-row order[k] with its neighbors renamed,
+    // then sorted. Row ranges of about equal work fill concurrently,
+    // each into its own rows through its own scratch of at most two rows.
+    std::vector<EdgeId> out_off(n + std::size_t(1));
+    for (VertexId k = 0; k < n; ++k)
+        out_off[k + 1] = out_off[k] + outDegree(order[k]);
     std::vector<VertexId> out_nbr(out_neighbors_.size());
     std::vector<std::int32_t> out_w(out_weights_.size());
-    gather(out_offsets_, out_neighbors_.data(), out_weights_.data(), out_off,
-           out_nbr.data(), out_w.data());
+    const unsigned id_bits = n > 1 ? std::bit_width(n - 1) : 0;
+    const std::vector<VertexId> first = rowChunks(n, out_off.data(), jobs);
+    parallelFor(jobs, jobs, [&](std::size_t c) {
+        std::vector<std::uint64_t> row;
+        std::vector<std::uint64_t> tmp;
+        for (VertexId k = first[c]; k < first[c + 1]; ++k) {
+            const EdgeId from = out_offsets_[order[k]];
+            const EdgeId to = out_off[k];
+            const EdgeId deg = out_off[k + 1] - to;
+            row.resize(deg);
+            tmp.resize(deg);
+            for (EdgeId i = 0; i < deg; ++i) {
+                row[i] = packArc(new_id[out_neighbors_[from + i]],
+                                 out_weights_[from + i]);
+            }
+            sortArcs(row.data(), tmp.data(), deg, id_bits);
+            for (EdgeId i = 0; i < deg; ++i) {
+                out_nbr[to + i] = static_cast<VertexId>(row[i] >> 32);
+                out_w[to + i] = static_cast<std::int32_t>(
+                    static_cast<std::uint32_t>(row[i]) ^ kSignBit);
+            }
+        }
+    });
+
+    // New in-degree k is old in-degree order[k]. The in-rows are the
+    // transpose of the new out-CSR, built on their first read.
     std::vector<EdgeId> in_off;
-    std::vector<VertexId> in_nbr;
     if (!symmetric_) {
-        in_nbr.resize(in_neighbors_.size());
-        gather(in_offsets_, in_neighbors_.data(), nullptr, in_off,
-               in_nbr.data(), nullptr);
+        in_off.resize(n + std::size_t(1));
+        for (VertexId k = 0; k < n; ++k)
+            in_off[k + 1] = in_off[k] + inDegree(order[k]);
     }
 
     return Graph(num_vertices_, std::move(out_off), std::move(out_nbr),
-                 std::move(out_w), std::move(in_off), std::move(in_nbr),
-                 symmetric_);
+                 std::move(out_w), std::move(in_off), symmetric_);
 }
 
 EdgeList

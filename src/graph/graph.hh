@@ -1,6 +1,7 @@
 /**
  * @file
- * Compressed-sparse-row graph with both out- and in-adjacency.
+ * Compressed-sparse-row graph with out-adjacency, in-degrees, and
+ * in-adjacency built on its first read.
  *
  * This mirrors the representation used by Ligra-style frameworks: the
  * "edgeList" data structure of the paper is the pair of CSR arrays
@@ -12,6 +13,8 @@
 #ifndef OMEGA_GRAPH_GRAPH_HH
 #define OMEGA_GRAPH_GRAPH_HH
 
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -21,15 +24,36 @@
 namespace omega {
 
 /**
+ * A graph's in-CSR, fetched once (Graph::inArcs) and then read row by
+ * row: in-row v is neighbors[offsets[v] .. offsets[v + 1]).
+ */
+struct InArcs
+{
+    const EdgeId *offsets = nullptr;
+    const VertexId *neighbors = nullptr;
+
+    /** Incoming neighbors of @p v, ascending. */
+    std::span<const VertexId> row(VertexId v) const
+    {
+        return {neighbors + offsets[v], neighbors + offsets[v + 1]};
+    }
+    /** Global edge index of the first incoming edge of @p v. */
+    EdgeId base(VertexId v) const { return offsets[v]; }
+};
+
+/**
  * Immutable CSR graph.
  *
  * Each direction stores only what is read. The out-CSR keeps offsets,
  * neighbors and weights: the push phase of edgeMap hands every arc's
- * weight to the update. The in-CSR keeps offsets and neighbors: the pull
- * phase reads no weight. A directed graph therefore holds 12 bytes per
- * arc plus two offset arrays. A symmetric (undirected) graph's in-rows
- * equal its out-rows, so it stores the out-CSR once (8 bytes per arc
- * plus one offset array) and the in-accessors read the out arrays.
+ * weight to the update. A directed graph keeps its in-offsets, which
+ * give every in-degree, and builds its in-neighbors (no weights: the
+ * pull phase reads none) on the first inArcs() or inNeighbors() call by
+ * transposing the out-CSR; copies share that build. It holds 8 bytes
+ * per arc plus two offset arrays until then, 12 after. A symmetric
+ * (undirected) graph's in-rows equal its out-rows, so it stores the
+ * out-CSR once (8 bytes per arc plus one offset array) and the
+ * in-accessors read the out arrays.
  */
 class Graph
 {
@@ -43,9 +67,8 @@ class Graph
      * @param out_offsets CSR row offsets for outgoing edges, size V+1.
      * @param out_neighbors destination vertex per outgoing edge.
      * @param out_weights weight per outgoing edge (same order).
-     * @param in_offsets CSR row offsets for incoming edges, size V+1;
-     *        empty when @p symmetric.
-     * @param in_neighbors source vertex per incoming edge; empty when
+     * @param in_offsets CSR row offsets for incoming edges, size V+1
+     *        (the in-degrees of the out-CSR's arcs); empty when
      *        @p symmetric.
      * @param symmetric true if the graph is undirected (in == out).
      */
@@ -54,7 +77,6 @@ class Graph
           std::vector<VertexId> out_neighbors,
           std::vector<std::int32_t> out_weights,
           std::vector<EdgeId> in_offsets,
-          std::vector<VertexId> in_neighbors,
           bool symmetric);
 
     VertexId numVertices() const { return num_vertices_; }
@@ -83,12 +105,21 @@ class Graph
         return {out_neighbors_.data() + out_offsets_[v],
                 out_neighbors_.data() + out_offsets_[v + 1]};
     }
-    /** Incoming neighbors of @p v. */
+    /**
+     * The in-CSR. A directed graph's first call, from any thread,
+     * transposes the out-CSR; concurrent first calls wait for that one
+     * build. Fetch it once per loop rather than per row.
+     */
+    InArcs inArcs() const
+    {
+        if (symmetric_)
+            return {out_offsets_.data(), out_neighbors_.data()};
+        return {in_offsets_.data(), cachedInNeighbors()};
+    }
+    /** Incoming neighbors of @p v, ascending; see inArcs(). */
     std::span<const VertexId> inNeighbors(VertexId v) const
     {
-        const EdgeId *off = inOffsets();
-        const VertexId *nbr = inNbrs();
-        return {nbr + off[v], nbr + off[v + 1]};
+        return inArcs().row(v);
     }
     /** Weights parallel to outNeighbors(v). */
     std::span<const std::int32_t> outWeights(VertexId v) const
@@ -110,9 +141,10 @@ class Graph
 
     /**
      * Rebuild the graph with new vertex k being old vertex @p order[k]
-     * (the inverse of permuted's argument). Each stored direction is
-     * gathered from itself: new row k is old row order[k], its neighbors
-     * renamed and the row sorted by (neighbor, weight).
+     * (the inverse of permuted's argument). New out-row k is old out-row
+     * order[k], its neighbors renamed and the row sorted by (neighbor,
+     * weight); new in-degree k is old in-degree order[k]. The result
+     * holds no in-neighbors until its own first read.
      */
     Graph renumbered(const std::vector<VertexId> &order) const;
 
@@ -124,21 +156,34 @@ class Graph
     Graph renumbered(const std::vector<VertexId> &order,
                      unsigned jobs) const;
 
+    /**
+     * The in-neighbors inArcs() keeps for a directed graph: the out-CSR
+     * transposed in ascending source order, so every in-row is sorted,
+     * on up to @p jobs threads. Computed afresh on every call; the
+     * result does not depend on @p jobs.
+     */
+    std::vector<VertexId> transposedInNeighbors(unsigned jobs) const;
+
     /** Recover an edge list (arcs) from the out-CSR. */
     EdgeList toEdgeList() const;
 
   private:
-    /** The in-CSR arrays: the out arrays when symmetric. One branch
-     *  per call that never changes direction for a given graph, paid
-     *  per pull task, never per arc. */
+    /** A directed graph's in-neighbors, built once on first read. */
+    struct LazyInNeighbors
+    {
+        std::once_flag built;
+        std::vector<VertexId> nbr;
+    };
+
+    /** The in-offsets: the out-offsets when symmetric. One branch per
+     *  call that never changes direction for a given graph. */
     const EdgeId *inOffsets() const
     {
         return symmetric_ ? out_offsets_.data() : in_offsets_.data();
     }
-    const VertexId *inNbrs() const
-    {
-        return symmetric_ ? out_neighbors_.data() : in_neighbors_.data();
-    }
+    /** A directed graph's in-neighbors, transposed on the first call
+     *  on setupChunks() threads. */
+    const VertexId *cachedInNeighbors() const;
 
     VertexId num_vertices_ = 0;
     bool symmetric_ = false;
@@ -146,7 +191,9 @@ class Graph
     std::vector<VertexId> out_neighbors_;
     std::vector<std::int32_t> out_weights_;
     std::vector<EdgeId> in_offsets_;
-    std::vector<VertexId> in_neighbors_;
+    /** Directed graphs only; shared by copies, whose out-CSRs are the
+     *  same bytes. */
+    std::shared_ptr<LazyInNeighbors> in_neighbors_;
 };
 
 } // namespace omega

@@ -44,6 +44,7 @@ std::vector<VertexId>
 slashburnLiteOrdering(const Graph &g)
 {
     const VertexId n = g.numVertices();
+    const InArcs in = g.inArcs();
     std::vector<VertexId> order;
     order.reserve(n);
     std::vector<bool> placed(n, false);
@@ -64,7 +65,7 @@ slashburnLiteOrdering(const Graph &g)
                 order.push_back(nbr);
             }
         }
-        for (VertexId nbr : g.inNeighbors(hub)) {
+        for (VertexId nbr : in.row(hub)) {
             if (!placed[nbr]) {
                 placed[nbr] = true;
                 order.push_back(nbr);

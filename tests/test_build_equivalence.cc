@@ -5,15 +5,20 @@
  * buildGraph (a two-pass counting sort) and Graph::permuted (a per-row
  * gather and sort) must produce exactly the CSR arrays of the
  * comparison-sort formulations kept below as references: every offset,
- * neighbor and out-weight (the in-CSR stores no weights). Inputs cover
+ * neighbor and out-weight (the in-CSR stores no weights). A directed
+ * graph's in-rows, transposed from its out-CSR on their first read,
+ * must equal the reference transpose, also when four threads read them
+ * first at once. Inputs cover
  * every FuzzSpec shape, including dirty edge lists with duplicates and
  * self loops, all eight BuildOptions combinations, zero- and one-vertex
  * graphs, and every ReorderKind. The chunked kernels (buildGraph,
  * renumbered and generateRmat split over threads, each R-MAT chunk as
  * eight vector lanes on AVX-512DQ hosts) must give the same bytes at
  * every chunk count. The R-MAT edge list is pinned by hash, so
- * the generator's quadrant selection stays bit-for-bit. The graph's
- * storage is pinned too: its heap bytes per arc, and a symmetric graph's
+ * the generator's quadrant selection stays bit-for-bit, and a crafted
+ * generator state catches a lane kernel whose noise term fuses into a
+ * multiply-add. The graph's storage is pinned too: its heap bytes per
+ * arc before and after the first in-row read, and a symmetric graph's
  * single CSR.
  */
 
@@ -21,10 +26,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdlib>
+#include <latch>
 #include <new>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -208,6 +217,23 @@ referencePermuted(const Graph &g, const std::vector<VertexId> &perm)
     Csr c;
     c.symmetric = g.symmetric();
     flattenSorted(std::move(out), c.out_off, c.out_nbr, &c.out_w);
+    flattenSorted(std::move(in), c.in_off, c.in_nbr, nullptr);
+    return c;
+}
+
+/**
+ * The transpose of @p g's out-CSR: in-row v holds every u with an arc
+ * u -> v, once per arc, ascending. Only its in-arrays are filled.
+ */
+Csr
+referenceTransposed(const Graph &g)
+{
+    std::vector<Row> in(g.numVertices());
+    for (VertexId u = 0; u < g.numVertices(); ++u) {
+        for (VertexId v : g.outNeighbors(u))
+            in[v].emplace_back(u, 0);
+    }
+    Csr c;
     flattenSorted(std::move(in), c.in_off, c.in_nbr, nullptr);
     return c;
 }
@@ -401,6 +427,111 @@ TEST(BuildEquivalence, ChunkCountNeverChangesTheRenumbering)
     }
 }
 
+TEST(InArcs, TransposeMatchesTheReferenceAtEveryChunkCount)
+{
+    // Raw and renumbered directed graphs, with and without parallel arcs
+    // and self loops: the transpose at every chunk count, and the in-rows
+    // the first read builds, equal the reference transpose.
+    BuildOptions keep_all;
+    keep_all.deduplicate = false;
+    keep_all.remove_self_loops = false;
+    for (const testing::FuzzSpec &spec : specs()) {
+        VertexId n = 0;
+        const EdgeList edges = spec.rawEdges(n);
+        for (unsigned chunks : kChunkCounts) {
+            for (const BuildOptions &opts : {BuildOptions{}, keep_all}) {
+                const Graph raw = buildGraph(n, edges, opts, chunks);
+                const auto perm =
+                    buildReorderPermutation(raw, ReorderKind::Random, 0.2, 9);
+                std::vector<VertexId> order(n);
+                for (VertexId v = 0; v < n; ++v)
+                    order[perm[v]] = v;
+                const Graph renumbered = raw.renumbered(order, chunks);
+                for (const Graph *g : {&raw, &renumbered}) {
+                    const std::string what =
+                        spec.describe() + describe(opts) +
+                        (g == &raw ? " raw" : " renumbered") +
+                        " chunks=" + std::to_string(chunks);
+                    SCOPED_TRACE(what);
+                    const Csr want = referenceTransposed(*g);
+                    for (unsigned jobs : kChunkCounts) {
+                        EXPECT_TRUE(g->transposedInNeighbors(jobs) ==
+                                    want.in_nbr)
+                            << "jobs=" << jobs;
+                    }
+                    const Csr got = csrOf(*g);
+                    EXPECT_TRUE(got.in_off == want.in_off);
+                    EXPECT_TRUE(got.in_nbr == want.in_nbr);
+                }
+            }
+        }
+    }
+}
+
+TEST(InArcs, ConcurrentFirstReadsBuildOnce)
+{
+    // Four threads read every in-row of one graph, none of them built
+    // yet, at once; a copy taken before the read shares the build.
+    Rng rng(13);
+    const Graph g = buildGraph(1 << 12, generateRmat(12, 8, rng));
+    const Graph copy = g;
+    const Csr want = referenceTransposed(g);
+    constexpr unsigned kThreads = 4;
+    std::vector<std::vector<VertexId>> rows(kThreads);
+    std::vector<const VertexId *> storage(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            const Graph &mine = t % 2 ? copy : g;
+            for (VertexId v = 0; v < mine.numVertices(); ++v) {
+                for (VertexId u : mine.inNeighbors(v))
+                    rows[t].push_back(u);
+            }
+            storage[t] = mine.inArcs().neighbors;
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    for (unsigned t = 0; t < kThreads; ++t) {
+        EXPECT_TRUE(rows[t] == want.in_nbr) << "thread " << t;
+        EXPECT_EQ(storage[t], storage[0]) << "thread " << t;
+    }
+}
+
+/** FNV-1a over the bytes of every entry of @p perm, in order. */
+std::uint64_t
+permutationHash(const std::vector<VertexId> &perm)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (VertexId v : perm) {
+        for (int i = 0; i < 4; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+TEST(InArcs, SlashburnLiteOrderingPinned)
+{
+    // The one ordering that reads in-rows, on raw directed graphs: it
+    // makes the graph's first in-row read. Pinned from the graph that
+    // stored its in-CSR eagerly.
+    Rng rng(11);
+    const Graph rmat = buildGraph(1 << 10, generateRmat(10, 8, rng));
+    ASSERT_EQ(rmat.numArcs(), 6685u);
+    EXPECT_EQ(permutationHash(buildReorderPermutation(
+                  rmat, ReorderKind::SlashburnLite)),
+              0x45122b8bdb234dfdull);
+    const Graph sd = buildDataset("sd", 42);
+    ASSERT_EQ(sd.numArcs(), 25607u);
+    EXPECT_EQ(permutationHash(
+                  buildReorderPermutation(sd, ReorderKind::SlashburnLite)),
+              0x38167e6a857d9bcdull);
+}
+
 TEST(GraphStorage, SymmetricInRowsAreTheOutRows)
 {
     // A symmetric graph stores one CSR: its in-rows are its out-rows,
@@ -441,10 +572,18 @@ heldBytes(std::optional<Graph> &g, MakeF &&make)
 
 TEST(GraphStorage, HeapBytesPerArc)
 {
-    // Directed: out neighbor, out weight and in neighbor, 12 bytes per
-    // arc, plus both offset arrays. Symmetric: the out-CSR alone, 8
-    // bytes per arc plus one offset array. Renumbering keeps the form.
-    // Below kParallelSetupEdges, so setup starts no threads.
+    // Directed: out neighbor and out weight, 8 bytes per arc, plus both
+    // offset arrays and the fixed cell that holds the in-neighbors once
+    // built; the first in-row read adds the in-neighbors, 4 bytes per
+    // arc. Symmetric: the out-CSR alone, 8 bytes per arc plus one offset
+    // array, and reading in-rows allocates nothing. Renumbering returns
+    // the unread form. Below kParallelSetupEdges, so setup starts no
+    // threads.
+    std::optional<Graph> empty;
+    const std::int64_t cell =
+        heldBytes(empty, [] { return buildGraph(0, {}); }) - 2 * 8;
+    EXPECT_GT(cell, 0);
+    EXPECT_LE(cell, 128);
     Rng rng(3);
     const VertexId n = 1 << 12;
     const EdgeList edges = generateRmat(12, 8, rng);
@@ -457,13 +596,17 @@ TEST(GraphStorage, HeapBytesPerArc)
             g, [&] { return buildGraph(n, EdgeList(edges), opts); });
         const auto arcs = static_cast<std::int64_t>(g->numArcs());
         const std::int64_t offsets = 8 * (std::int64_t(n) + 1);
-        const std::int64_t want = symmetric ? 8 * arcs + offsets
-                                            : 12 * arcs + 2 * offsets;
-        EXPECT_EQ(built, want);
+        const std::int64_t unread =
+            symmetric ? 8 * arcs + offsets : 8 * arcs + 2 * offsets + cell;
+        EXPECT_EQ(built, unread);
+        const std::int64_t before_read = g_live_heap_bytes;
+        ASSERT_NE(g->inArcs().neighbors, nullptr);
+        const std::int64_t read = g_live_heap_bytes - before_read;
+        EXPECT_EQ(read, symmetric ? 0 : 4 * arcs);
         const auto perm =
             buildReorderPermutation(*g, ReorderKind::InDegreeSort, 0.2, 1);
         std::optional<Graph> r;
-        EXPECT_EQ(heldBytes(r, [&] { return g->permuted(perm); }), want);
+        EXPECT_EQ(heldBytes(r, [&] { return g->permuted(perm); }), unread);
     }
 }
 
@@ -583,6 +726,106 @@ TEST(BuildEquivalence, RmatLanesMatchTheSequentialDraws)
                                    " chunks=" + std::to_string(chunks));
             }
         }
+    }
+}
+
+/** The inverse of odd @p a modulo 2^64, by Newton's iteration. */
+constexpr std::uint64_t
+inverseMod64(std::uint64_t a)
+{
+    std::uint64_t x = a; // correct to 3 bits; each step doubles that
+    for (int i = 0; i < 5; ++i)
+        x *= 2 - a * x;
+    return x;
+}
+
+/**
+ * The state word s[1] whose xoshiro256** output is @p x: the inverse of
+ * rotl(s1 * 5, 7) * 9.
+ */
+std::uint64_t
+starStarPreimage(std::uint64_t x)
+{
+    return std::rotr(x * inverseMod64(9), 7) * inverseMod64(5);
+}
+
+/** Level 0 of an R-MAT draw: the (source, destination) quadrant bits. */
+std::pair<bool, bool>
+rmatLevel0(const RmatParams &p, double noise, double u2)
+{
+    // The test builds for the baseline ISA, which has no FMA, so these
+    // products and sums round separately, as in rmatEdge.
+    const double d = 1.0 - p.a - p.b - p.c;
+    const double a = p.a * noise;
+    const double ab = a + p.b;
+    const double abc = ab + p.c;
+    const double r = u2 * (abc + d);
+    return {r >= ab, (r >= a && r < ab) || r >= abc};
+}
+
+TEST(BuildEquivalence, RmatLanesDoNotFuseMultiplyAdds)
+{
+    // A generator state whose first R-MAT arc lands in another quadrant
+    // when the lane kernel's noise term 0.9 + 0.2 * u1 fuses into one
+    // multiply-add (one rounding instead of two), as GCC does under its
+    // default -ffp-contract=fast on AVX-512 code. xoshiro256**'s first
+    // output is a bijection of s[1], and its second one of
+    // s[1] ^ s[2] ^ s[0], so the state is solved from the two draws.
+    if (std::string(rmatChunkKernel()) != "lanes8")
+        GTEST_SKIP() << "the chunk kernel here is " << rmatChunkKernel();
+    const RmatParams params;
+    auto unit = [](std::uint64_t x) { return double(x >> 11) * 0x1.0p-53; };
+    std::uint64_t x1 = 0;
+    std::uint64_t x2 = 0;
+    for (std::uint64_t i = 1; x2 == 0 && i < 100000; ++i) {
+        const std::uint64_t x = (i * 0x9e3779b97f4a7c15ull) | 0x7ff;
+        const double u1 = unit(x);
+        const double noise = 0.9 + 0.2 * u1;
+        const double fused = std::fma(0.2, u1, 0.9);
+        if (fused == noise)
+            continue;
+        // Try the u2 near each quadrant boundary of the unfused draw.
+        const double a = params.a * noise;
+        const double norm = a + params.b + params.c +
+                            (1.0 - params.a - params.b - params.c);
+        for (const double edge : {a, a + params.b, a + params.b + params.c}) {
+            const auto k = static_cast<std::uint64_t>(edge / norm * 0x1.0p53);
+            for (std::uint64_t j = k - 4; j <= k + 4 && x2 == 0; ++j) {
+                if (rmatLevel0(params, noise, unit(j << 11)) !=
+                    rmatLevel0(params, fused, unit(j << 11))) {
+                    x1 = x;
+                    x2 = j << 11;
+                }
+            }
+        }
+    }
+    ASSERT_NE(x2, 0u) << "no sensitive draw found";
+
+    Rng crafted;
+    auto w = crafted.stateWords();
+    w[1] = starStarPreimage(x1);
+    w[2] = 0;
+    w[0] = w[1] ^ starStarPreimage(x2);
+    w[3] = 0x0123456789abcdefull;
+    Rng probe = crafted;
+    ASSERT_EQ(probe.next(), x1);
+    ASSERT_EQ(probe.next(), x2);
+
+    // Scale 1: arc 0 is level 0 alone. 16 arcs over 2 chunks put it in
+    // lane 0 of chunk 0, which starts from the crafted state itself.
+    Rng seq_rng = crafted;
+    Rng lane_rng = crafted;
+    const EdgeList seq = generateRmat(1, 8, seq_rng, params, 1);
+    const EdgeList lanes = generateRmat(1, 8, lane_rng, params, 2);
+    const auto [src, dst] = rmatLevel0(params, 0.9 + 0.2 * unit(x1),
+                                       unit(x2));
+    ASSERT_EQ(seq[0].src, VertexId(src));
+    ASSERT_EQ(seq[0].dst, VertexId(dst));
+    ASSERT_EQ(lanes.size(), seq.size());
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+        EXPECT_EQ(lanes[i].src, seq[i].src) << "arc " << i;
+        EXPECT_EQ(lanes[i].dst, seq[i].dst) << "arc " << i;
+        EXPECT_EQ(lanes[i].weight, seq[i].weight) << "arc " << i;
     }
 }
 

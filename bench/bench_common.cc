@@ -203,46 +203,6 @@ runKey(const DatasetSpec &spec, AlgorithmKind algo, MachineKind kind,
 }
 
 /**
- * Journal record of one completed run: the run key plus everything
- * recordCompleted() consumes. MachineParams are NOT serialized — the
- * key embeds their full JSON, so the reader recomputes identical
- * parameters before decoding. Trace sinks and profiles never appear
- * (those flags cannot be combined with checkpointing).
- */
-void
-encodeJournaledRun(SnapshotWriter &w, const std::string &key,
-                   const CompletedRun &run)
-{
-    w.putString(key);
-    w.putU64(run.outcome.cycles);
-    run.outcome.stats.save(w);
-    w.putString(run.stat_tree_json);
-    w.putString(run.fault_json);
-    run.intervals.save(w);
-}
-
-/** Decode a journal record (reader positioned after the key). */
-CompletedRun
-decodeJournaledRun(SnapshotReader &r, const MachineParams &params,
-                   Cycles interval_cycles)
-{
-    CompletedRun run;
-    run.outcome.params = params;
-    run.outcome.cycles = r.getU64();
-    run.outcome.stats.restore(r);
-    run.stat_tree_json = r.getString();
-    run.fault_json = r.getString();
-    run.intervals = IntervalRecorder(interval_cycles);
-    run.intervals.restore(r);
-    if (r.remaining() != 0) {
-        throw SnapshotStateError(
-            "journal: " + std::to_string(r.remaining()) +
-            " unconsumed bytes after a run record");
-    }
-    return run;
-}
-
-/**
  * Build the machine and run the algorithm, capturing every observability
  * artifact into the returned value. Thread-safe: all state is per-run,
  * and the trace sink is installed thread-locally for the duration.
@@ -291,10 +251,9 @@ executeRun(const DatasetSpec &spec, AlgorithmKind algo, MachineKind kind,
         // the coordinator with maybeRestore() once everything is
         // registered.
         coord->beginRun(key);
-        coord->registerSection(
-            "intervals",
-            [&recorder](SnapshotWriter &w) { recorder.save(w); },
-            [&recorder](SnapshotReader &r) { recorder.restore(r); });
+        coord->registerSection("intervals", [&recorder](FieldVisitor &v) {
+            recorder.visit(v);
+        });
     }
 
     EngineOptions opts;
@@ -315,15 +274,14 @@ executeRun(const DatasetSpec &spec, AlgorithmKind algo, MachineKind kind,
         if (coord != nullptr && coord->savingEnabled()) {
             const std::string pm_path = coord->savePath() + ".postmortem";
             try {
+                CheckpointCoordinator dump;
+                dump.beginRun(key);
+                dump.registerSection(
+                    "machine", [&m](FieldVisitor &v) { m->visit(v); });
                 SnapshotWriter w;
-                w.putString(key);
-                w.putU64(0); // iteration unknown mid-phase
-                w.putBool(false); // a state dump, never resumable
-                w.putU64(1);
-                w.putString("machine");
-                const std::size_t blob = w.beginBlob();
-                saveFields(w, *m);
-                w.endBlob(blob);
+                // Iteration unknown mid-phase; a state dump, never
+                // resumable.
+                dump.serializeTo(w, 0, /*resumable=*/false);
                 writeSnapshotFile(pm_path, w.bytes());
                 report += "\npost-mortem snapshot: " + pm_path;
             } catch (const std::exception &pm) {
@@ -414,10 +372,17 @@ runOn(const DatasetSpec &spec, AlgorithmKind algo, MachineKind kind,
                 try {
                     SnapshotReader r(std::move(rec));
                     (void)r.getString(); // the key this record maps to
-                    CompletedRun run = decodeJournaledRun(
-                        r, params,
+                    CompletedRun run;
+                    run.outcome.params = params;
+                    run.intervals = IntervalRecorder(
                         session->jsonEnabled() ? session->intervalCycles()
                                                : 0);
+                    restoreFields(r, run);
+                    if (r.remaining() != 0) {
+                        throw SnapshotStateError(
+                            "journal: " + std::to_string(r.remaining()) +
+                            " unconsumed bytes after a run record");
+                    }
                     session->coordinator().dropResumeFor(key);
                     const RunOutcome outcome = run.outcome;
                     if (observe) {
@@ -757,7 +722,8 @@ BenchSession::journalCompleted(const std::string &key,
     if (checkpoint_path_.empty())
         return;
     SnapshotWriter w;
-    encodeJournaledRun(w, key, run);
+    w.putString(key);
+    saveFields(w, run);
     std::lock_guard<std::mutex> lock(journal_mutex_);
     try {
         appendJournalRecord(journalPath(), w.bytes());
@@ -805,6 +771,16 @@ BenchSession::recordCompleted(const std::string &dataset,
     rec.fault_json = run.fault_json;
     rec.profile_json = run.profile_json;
     runs_.push_back(std::move(rec));
+}
+
+void
+CompletedRun::visit(FieldVisitor &v)
+{
+    v.state(outcome.cycles);
+    outcome.stats.visit(v);
+    v.state(stat_tree_json);
+    v.state(fault_json);
+    intervals.visit(v);
 }
 
 void

@@ -110,6 +110,15 @@ struct CompletedRun
     std::string fault_json;
     /** Pre-rendered access-profile object (only when profiling). */
     std::string profile_json;
+
+    /**
+     * The sweep-journal record: everything recordCompleted() consumes.
+     * MachineParams are not serialized — the run key that precedes the
+     * record embeds their full JSON, so the reader recomputes identical
+     * parameters before restoring. Trace sinks and profiles never
+     * appear (those flags cannot be combined with checkpointing).
+     */
+    void visit(FieldVisitor &v);
 };
 
 /**

@@ -26,6 +26,7 @@
 #include "omega/omega_machine.hh"
 #include "sim/baseline_machine.hh"
 #include "util/logging.hh"
+#include "util/stats.hh"
 #include "util/string_utils.hh"
 #include "util/table.hh"
 
@@ -95,20 +96,22 @@ runOnMachine(const std::string &kind, AlgorithmKind algo, const Graph &g,
              const MachineParams &omega_params, bool dump)
 {
     RunResult out;
-    if (kind == "baseline") {
-        BaselineMachine m(base_params);
+    const auto run = [&](MemorySystem &m) {
         out.cycles = runAlgorithmOnMachine(algo, g, &m);
         out.stats = m.report();
+        if (dump)
+            m.statTree()->dump(std::cout);
+    };
+    if (kind == "baseline") {
+        BaselineMachine m(base_params);
+        run(m);
     } else {
         MachineParams p = omega_params;
         if (kind == "sp-only")
             p.pisc_enabled = false;
         OmegaMachine m(p);
-        out.cycles = runAlgorithmOnMachine(algo, g, &m);
-        out.stats = m.report();
+        run(m);
     }
-    if (dump)
-        out.stats.dump(std::cout, kind);
     return out;
 }
 

@@ -53,20 +53,12 @@ runBfs(const Graph &g, VertexId root, MemorySystem *mach,
     // progress scalars. Restoring the frontier re-enters the while loop
     // exactly where the interrupted run left it.
     if (CheckpointCoordinator *ck = opts.checkpoint) {
-        ck->registerSection(
-            "bfs",
-            [&](SnapshotWriter &w) {
-                parent.saveData(w);
-                saveVertexSubset(w, frontier);
-                w.putU32(reached);
-                w.putU64(result.rounds);
-            },
-            [&](SnapshotReader &r) {
-                parent.restoreData(r);
-                frontier = restoreVertexSubset(r);
-                reached = r.getU32();
-                result.rounds = static_cast<unsigned>(r.getU64());
-            });
+        ck->registerSection("bfs", [&](FieldVisitor &v) {
+            parent.visit(v);
+            visitVertexSubset(v, frontier);
+            v.state(reached);
+            v.state(result.rounds);
+        });
         ck->maybeRestore();
     }
 

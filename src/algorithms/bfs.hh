@@ -25,7 +25,7 @@ struct BfsResult
 {
     /** Parent per vertex; -1 if unreached; parent[root] == root. */
     std::vector<std::int32_t> parent;
-    unsigned rounds = 0;
+    std::uint64_t rounds = 0;
     /** Vertices reached (including the root). */
     VertexId reached = 0;
 };

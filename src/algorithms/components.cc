@@ -56,20 +56,12 @@ runComponents(const Graph &g, MemorySystem *mach, EngineOptions opts)
     // Checkpoint section: both label arrays, the frontier, and the
     // round counter.
     if (CheckpointCoordinator *ck = opts.checkpoint) {
-        ck->registerSection(
-            "components",
-            [&](SnapshotWriter &w) {
-                label.saveData(w);
-                prev.saveData(w);
-                saveVertexSubset(w, frontier);
-                w.putU64(result.rounds);
-            },
-            [&](SnapshotReader &r) {
-                label.restoreData(r);
-                prev.restoreData(r);
-                frontier = restoreVertexSubset(r);
-                result.rounds = static_cast<unsigned>(r.getU64());
-            });
+        ck->registerSection("components", [&](FieldVisitor &v) {
+            label.visit(v);
+            prev.visit(v);
+            visitVertexSubset(v, frontier);
+            v.state(result.rounds);
+        });
         ck->maybeRestore();
     }
 

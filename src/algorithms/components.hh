@@ -26,7 +26,7 @@ struct CcResult
     /** Component label per vertex (minimum vertex id in the component). */
     std::vector<std::uint32_t> label;
     VertexId num_components = 0;
-    unsigned rounds = 0;
+    std::uint64_t rounds = 0;
 };
 
 /** Annotated update function (signed min on the label). */

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <memory>
+#include <span>
 
 #include "framework/properties.hh"
 #include "framework/vertex_subset.hh"
@@ -59,20 +60,12 @@ runPageRank(const Graph &g, MemorySystem *mach, unsigned max_iters,
     // scalars; iteration progress lives in the engine section.
     CheckpointCoordinator *ck = opts.checkpoint;
     if (ck) {
-        ck->registerSection(
-            "pagerank",
-            [&](SnapshotWriter &w) {
-                w.putBytes(curr.data(), curr.size() * sizeof(double));
-                next.saveData(w);
-                w.putU64(result.iterations);
-                w.putF64(result.last_delta);
-            },
-            [&](SnapshotReader &r) {
-                r.getBytesInto(curr.data(), curr.size() * sizeof(double));
-                next.restoreData(r);
-                result.iterations = static_cast<unsigned>(r.getU64());
-                result.last_delta = r.getF64();
-            });
+        ck->registerSection("pagerank", [&](FieldVisitor &v) {
+            v.state(std::as_writable_bytes(std::span(curr)));
+            next.visit(v);
+            v.state(result.iterations);
+            v.state(result.last_delta);
+        });
     }
     unsigned start = 0;
     bool converged = false;

@@ -25,7 +25,7 @@ namespace omega {
 struct PageRankResult
 {
     std::vector<double> rank;
-    unsigned iterations = 0;
+    std::uint64_t iterations = 0;
     /** L1 rank change of the last iteration (convergence measure). */
     double last_delta = 0.0;
 };

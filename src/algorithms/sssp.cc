@@ -62,20 +62,12 @@ runSssp(const Graph &g, VertexId root, MemorySystem *mach,
     // round counter (which doubles as the resumed loop index).
     CheckpointCoordinator *ck = opts.checkpoint;
     if (ck) {
-        ck->registerSection(
-            "sssp",
-            [&](SnapshotWriter &w) {
-                dist.saveData(w);
-                visited.saveData(w);
-                saveVertexSubset(w, frontier);
-                w.putU64(result.rounds);
-            },
-            [&](SnapshotReader &r) {
-                dist.restoreData(r);
-                visited.restoreData(r);
-                frontier = restoreVertexSubset(r);
-                result.rounds = static_cast<unsigned>(r.getU64());
-            });
+        ck->registerSection("sssp", [&](FieldVisitor &v) {
+            dist.visit(v);
+            visited.visit(v);
+            visitVertexSubset(v, frontier);
+            v.state(result.rounds);
+        });
         ck->maybeRestore();
     }
 

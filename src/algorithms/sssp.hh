@@ -28,7 +28,7 @@ constexpr std::int32_t kSsspInfinity = 1 << 29;
 struct SsspResult
 {
     std::vector<std::int32_t> dist;
-    unsigned rounds = 0;
+    std::uint64_t rounds = 0;
 };
 
 /** Annotated update function (signed min + visited bool, Fig 10/13). */

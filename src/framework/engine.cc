@@ -54,21 +54,13 @@ Engine::Engine(const Graph &g, PropertyRegistry &props, UpdateFn fn,
     // order; the algorithm's own sections follow (it constructs after
     // the engine) and it calls maybeRestore() once initialized.
     if (opts_.checkpoint) {
-        opts_.checkpoint->registerSection(
-            "engine",
-            [this](SnapshotWriter &w) {
-                w.putU64(iterations_);
-                w.putU64(phases_);
-            },
-            [this](SnapshotReader &r) {
-                iterations_ = r.getU64();
-                phases_ = r.getU64();
-            });
+        opts_.checkpoint->registerSection("engine", [this](FieldVisitor &v) {
+            v.state(iterations_);
+            v.state(phases_);
+        });
         if (mach_) {
             opts_.checkpoint->registerSection(
-                "machine",
-                [this](SnapshotWriter &w) { saveFields(w, *mach_); },
-                [this](SnapshotReader &r) { restoreFields(r, *mach_); });
+                "machine", [this](FieldVisitor &v) { mach_->visit(v); });
         }
     }
 }

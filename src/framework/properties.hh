@@ -15,13 +15,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "graph/types.hh"
 #include "sim/access.hh"
+#include "sim/field_visitor.hh"
 #include "sim/memory_system.hh"
-#include "sim/snapshot.hh"
 #include "util/logging.hh"
 
 namespace omega {
@@ -60,17 +61,6 @@ class PropArrayBase
         return s;
     }
 
-    /**
-     * @name Snapshot support.
-     * Host array contents as raw bytes (the functional vertex state).
-     * Name/size are cross-checked so a section restored into the wrong
-     * property is a state error, not silent corruption.
-     * @{
-     */
-    virtual void saveData(SnapshotWriter &w) const = 0;
-    virtual void restoreData(SnapshotReader &r) = 0;
-    /** @} */
-
   private:
     std::string name_;
     std::uint64_t start_addr_;
@@ -97,22 +87,17 @@ class PropArray : public PropArrayBase
     const std::vector<T> &data() const { return data_; }
     void fill(T v) { std::fill(data_.begin(), data_.end(), v); }
 
+    /**
+     * Snapshot fields: the host array as a raw byte row (the functional
+     * vertex state). Name and size are cross-checked, so a section
+     * restored into the wrong property is a state error, not silent
+     * corruption.
+     */
     void
-    saveData(SnapshotWriter &w) const override
+    visit(FieldVisitor &v)
     {
-        w.putString(name());
-        w.putBytes(data_.data(), data_.size() * sizeof(T));
-    }
-    void
-    restoreData(SnapshotReader &r) override
-    {
-        const std::string name_in = r.getString();
-        if (name_in != name()) {
-            throw SnapshotStateError(
-                "snapshot: property \"" + name_in +
-                "\" restored into \"" + name() + "\"");
-        }
-        r.getBytesInto(data_.data(), data_.size() * sizeof(T));
+        v.config("property", name());
+        v.state(std::as_writable_bytes(std::span(data_)));
     }
 
   private:

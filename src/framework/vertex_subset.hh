@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "graph/types.hh"
-#include "sim/snapshot.hh"
+#include "sim/field_visitor.hh"
 
 namespace omega {
 
@@ -80,47 +80,46 @@ class VertexSubset
 };
 
 /**
- * @name Frontier snapshot helpers.
- * Serialize the subset in its current representation through the public
- * API; fromSparse/fromDense are idempotent on canonical frontiers, so a
- * round trip reproduces the subset (and its representation) exactly.
- * @{
+ * Declare frontier @p s as a snapshot field. It is saved in its current
+ * representation through the public API; fromSparse/fromDense are
+ * idempotent on canonical frontiers, so a round trip reproduces the
+ * subset (and its representation) exactly. The loader checks the map
+ * size and every id against the vertex count before it constructs.
  */
 inline void
-saveVertexSubset(SnapshotWriter &w, const VertexSubset &s)
+visitVertexSubset(FieldVisitor &v, VertexSubset &s)
 {
-    w.putU32(s.numVertices());
-    w.putBool(s.isDense());
-    if (s.isDense())
-        w.putU8Vector(s.dense());
-    else
-        w.putU32Vector(s.sparse());
+    v.custom(
+        [&s](SnapshotWriter &w) {
+            w.putU32(s.numVertices());
+            w.putBool(s.isDense());
+            if (s.isDense())
+                w.putU8Vector(s.dense());
+            else
+                w.putU32Vector(s.sparse());
+        },
+        [&s](SnapshotReader &r) {
+            const VertexId n = r.getU32();
+            if (r.getBool()) {
+                std::vector<std::uint8_t> map = r.getByteVector();
+                if (map.size() != n) {
+                    throw SnapshotStateError(
+                        "snapshot: dense frontier map does not cover its "
+                        "vertex count");
+                }
+                s = VertexSubset::fromDense(std::move(map));
+                return;
+            }
+            std::vector<VertexId> ids = r.getU32Vector();
+            for (const VertexId id : ids) {
+                if (id >= n) {
+                    throw SnapshotStateError(
+                        "snapshot: sparse frontier id out of range");
+                }
+            }
+            s = VertexSubset::fromSparse(n, std::move(ids));
+        });
 }
-
-inline VertexSubset
-restoreVertexSubset(SnapshotReader &r)
-{
-    const VertexId n = r.getU32();
-    const bool dense = r.getBool();
-    if (dense) {
-        std::vector<std::uint8_t> map = r.getByteVector();
-        if (map.size() != n) {
-            throw SnapshotStateError(
-                "snapshot: dense frontier map does not cover its "
-                "vertex count");
-        }
-        return VertexSubset::fromDense(std::move(map));
-    }
-    std::vector<VertexId> ids = r.getU32Vector();
-    for (const VertexId v : ids) {
-        if (v >= n) {
-            throw SnapshotStateError(
-                "snapshot: sparse frontier id out of range");
-        }
-    }
-    return VertexSubset::fromSparse(n, std::move(ids));
-}
-/** @} */
 
 } // namespace omega
 

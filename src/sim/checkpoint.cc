@@ -5,6 +5,8 @@
 
 #include "sim/checkpoint.hh"
 
+#include "sim/field_visitor.hh"
+
 namespace omega {
 
 namespace {
@@ -67,11 +69,10 @@ CheckpointCoordinator::beginRun(std::string run_key)
 }
 
 void
-CheckpointCoordinator::registerSection(std::string name, SaveFn save,
-                                       RestoreFn restore)
+CheckpointCoordinator::registerSection(
+    std::string name, std::function<void(FieldVisitor &)> visit)
 {
-    sections_.push_back(
-        {std::move(name), std::move(save), std::move(restore)});
+    sections_.push_back({std::move(name), std::move(visit)});
 }
 
 bool
@@ -87,6 +88,7 @@ CheckpointCoordinator::maybeRestore()
     const std::uint64_t iteration = r.getU64();
     (void)r.getBool();
 
+    SnapshotLoader loader(r);
     const std::uint64_t count = r.getU64();
     if (count != sections_.size()) {
         throw SnapshotStateError(
@@ -103,7 +105,7 @@ CheckpointCoordinator::maybeRestore()
         }
         const std::uint64_t size = r.getU64();
         const std::size_t end = r.position() + size;
-        section.restore(r);
+        section.visit(loader);
         if (r.position() != end) {
             throw SnapshotStateError(
                 "snapshot: section '" + section.name + "' consumed " +
@@ -132,10 +134,11 @@ CheckpointCoordinator::serializeTo(SnapshotWriter &w,
     w.putU64(iteration);
     w.putBool(resumable);
     w.putU64(sections_.size());
+    SnapshotSaver saver(w);
     for (const Section &section : sections_) {
         w.putString(section.name);
         const std::size_t blob = w.beginBlob();
-        section.save(w);
+        section.visit(saver);
         w.endBlob(blob);
     }
 }

@@ -83,13 +83,12 @@ int pendingCheckpointSignal();
 /** Clear the latch (new session / test isolation). */
 void clearCheckpointSignal();
 
+class FieldVisitor;
+
 /** Orchestrates section registration, cadence, save and restore. */
 class CheckpointCoordinator
 {
   public:
-    using SaveFn = std::function<void(SnapshotWriter &)>;
-    using RestoreFn = std::function<void(SnapshotReader &)>;
-
     /** Enable saving to @p path every @p every completed iterations
      *  (0 = only on a latched signal / explicit saveNow). */
     void
@@ -116,11 +115,13 @@ class CheckpointCoordinator
     /** Start a new run: clears sections, disarms, sets the run key. */
     void beginRun(std::string run_key);
 
-    /** Register one named section; order is the serialization order and
-     *  must be deterministic across sessions (it is: registration
-     *  follows the run's construction code path). */
-    void registerSection(std::string name, SaveFn save,
-                         RestoreFn restore);
+    /** Register one named section: @p visit declares its fields once
+     *  and runs under SnapshotSaver to save and SnapshotLoader to
+     *  restore. Order is the serialization order and must be
+     *  deterministic across sessions (it is: registration follows the
+     *  run's construction code path). */
+    void registerSection(std::string name,
+                         std::function<void(FieldVisitor &)> visit);
 
     /**
      * Called by the algorithm once every section is registered and all
@@ -162,8 +163,7 @@ class CheckpointCoordinator
     struct Section
     {
         std::string name;
-        SaveFn save;
-        RestoreFn restore;
+        std::function<void(FieldVisitor &)> visit;
     };
 
     std::string save_path_;

@@ -11,13 +11,17 @@
  *  - histogram(name, h, desc): the same for a Histogram (its bucket
  *    geometry is construction state, checked on restore);
  *  - state(...): snapshot only — clocks, windows, tag/LRU rows, RNG
- *    words. A std::span keeps its length (restore rejects any other
- *    saved length); a std::vector takes the saved length;
+ *    words, loop scalars, strings. A std::span keeps its length
+ *    (restore rejects any other saved length; a std::byte span is a
+ *    raw row such as a property array); a std::vector takes the saved
+ *    length;
+ *  - list(items): a resizable vector of records that have their own
+ *    visit(); restore takes the saved count;
  *  - config(what, live): written on save; restore compares the saved
  *    value with the live one and throws SnapshotStateError on a
  *    mismatch (geometry, channel counts, the fault plan);
- *  - custom(save, load): a snapshot-only field with its own canonical
- *    encoding (the few are listed in DESIGN.md section 13);
+ *  - custom(save, load): a snapshot-only field whose loader has to
+ *    validate or construct (the few are listed in DESIGN.md section 13);
  *  - group(name, component): a sub-component whose counters land in a
  *    child stat group @p name. A sub-component without a group of its
  *    own is visited by calling its visit() directly.
@@ -30,12 +34,14 @@
  *
  * Every count the loader sizes a vector from goes through
  * SnapshotReader::getCount(), so nothing is allocated for a count
- * before the remaining payload bounds it.
+ * before the remaining payload bounds it. A list() bounds its count by
+ * the bytes an empty record saves to, the smallest a record can be.
  */
 
 #ifndef OMEGA_SIM_FIELD_VISITOR_HH
 #define OMEGA_SIM_FIELD_VISITOR_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -61,15 +67,23 @@ class FieldVisitor
     virtual void state(std::uint64_t &) {}
     virtual void state(std::uint32_t &) {}
     virtual void state(bool &) {}
+    virtual void state(double &) {}
+    virtual void state(std::string &) {}
     /** Fixed-length rows. */
     virtual void state(std::span<std::uint64_t>) {}
     virtual void state(std::span<std::uint32_t>) {}
+    virtual void state(std::span<std::byte>) {}
     /** The live prefix of fixed slots (its length is the unsigned);
      *  restore rejects a saved prefix longer than the slots. */
     virtual void state(std::span<std::uint64_t>, unsigned &) {}
     /** Resizable vectors. */
+    virtual void state(std::vector<std::uint64_t> &) {}
     virtual void state(std::vector<std::uint32_t> &) {}
     virtual void state(std::vector<std::uint8_t> &) {}
+
+    /** A resizable vector of records, each declared by its visit(). */
+    template <typename Record>
+    void list(std::vector<Record> &items);
 
     virtual void config(const char *, std::uint64_t) {}
     virtual void config(const char *, const std::string &) {}
@@ -92,6 +106,9 @@ class FieldVisitor
   protected:
     virtual void enterGroup(const std::string &) {}
     virtual void leaveGroup() {}
+    /** A list()'s element count: the saver writes @p n, the loader
+     *  reads it, bounded by @p min_bytes per element. */
+    virtual void count(std::uint64_t &, std::size_t) {}
 };
 
 /** Registers every counter and histogram in a StatGroup tree; each
@@ -128,13 +145,21 @@ class SnapshotSaver final : public FieldVisitor
     void state(std::uint64_t &v) override { w_.putU64(v); }
     void state(std::uint32_t &v) override { w_.putU32(v); }
     void state(bool &v) override { w_.putBool(v); }
+    void state(double &v) override { w_.putF64(v); }
+    void state(std::string &v) override { w_.putString(v); }
     void state(std::span<std::uint64_t> v) override;
     void state(std::span<std::uint32_t> v) override;
+    void
+    state(std::span<std::byte> v) override
+    {
+        w_.putBytes(v.data(), v.size());
+    }
     void
     state(std::span<std::uint64_t> slots, unsigned &live) override
     {
         state(slots.first(live));
     }
+    void state(std::vector<std::uint64_t> &v) override { state(std::span(v)); }
     void state(std::vector<std::uint32_t> &v) override { state(std::span(v)); }
     void state(std::vector<std::uint8_t> &v) override { w_.putU8Vector(v); }
     void config(const char *, std::uint64_t live) override { w_.putU64(live); }
@@ -149,6 +174,9 @@ class SnapshotSaver final : public FieldVisitor
     {
         save(w_);
     }
+
+  protected:
+    void count(std::uint64_t &n, std::size_t) override { w_.putU64(n); }
 
   private:
     SnapshotWriter &w_;
@@ -168,9 +196,20 @@ class SnapshotLoader final : public FieldVisitor
     void state(std::uint64_t &v) override { v = r_.getU64(); }
     void state(std::uint32_t &v) override { v = r_.getU32(); }
     void state(bool &v) override { v = r_.getBool(); }
+    void state(double &v) override { v = r_.getF64(); }
+    void state(std::string &v) override { v = r_.getString(); }
     void state(std::span<std::uint64_t> v) override;
     void state(std::span<std::uint32_t> v) override;
+    void
+    state(std::span<std::byte> v) override
+    {
+        r_.getBytesInto(v.data(), v.size());
+    }
     void state(std::span<std::uint64_t> slots, unsigned &live) override;
+    void state(std::vector<std::uint64_t> &v) override
+    {
+        v = r_.getU64Vector();
+    }
     void state(std::vector<std::uint32_t> &v) override
     {
         v = r_.getU32Vector();
@@ -188,9 +227,31 @@ class SnapshotLoader final : public FieldVisitor
         load(r_);
     }
 
+  protected:
+    void
+    count(std::uint64_t &n, std::size_t min_bytes) override
+    {
+        n = r_.getCount(min_bytes);
+    }
+
   private:
     SnapshotReader &r_;
 };
+
+template <typename Record>
+void
+FieldVisitor::list(std::vector<Record> &items)
+{
+    // An empty record saves to the fewest bytes any record can take.
+    SnapshotWriter empty;
+    SnapshotSaver probe(empty);
+    Record{}.visit(probe);
+    std::uint64_t n = items.size();
+    count(n, empty.size());
+    items.resize(n);
+    for (Record &item : items)
+        item.visit(*this);
+}
 
 /** Build @p component's stat tree under @p group. */
 template <typename Component>

@@ -8,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "sim/field_visitor.hh"
 #include "util/json.hh"
 
 namespace omega {
@@ -108,73 +109,45 @@ IntervalRecorder::writeJson(JsonWriter &w) const
 }
 
 void
-IntervalRecorder::save(SnapshotWriter &w) const
+CoreIntervalStats::visit(FieldVisitor &v)
 {
-    w.putU64(cadence_);
-    w.putU64(next_cadence_);
-    prev_cum_.save(w);
-    w.putU64(samples_.size());
-    for (const IntervalSample &s : samples_) {
-        w.putU64(s.t);
-        w.putU8(static_cast<std::uint8_t>(s.kind));
-        w.putU64(s.iteration);
-        s.cum.save(w);
-        s.delta.save(w);
-        w.putU64(s.cores.size());
-        for (const CoreIntervalStats &c : s.cores) {
-            w.putU64(c.compute_cycles);
-            w.putU64(c.mem_stall_cycles);
-            w.putU64(c.atomic_stall_cycles);
-            w.putU64(c.sync_stall_cycles);
-        }
-        w.putU64Vector(s.pisc_busy_cycles);
-        w.putU64Vector(s.sp_accesses);
-    }
+    v.state(compute_cycles);
+    v.state(mem_stall_cycles);
+    v.state(atomic_stall_cycles);
+    v.state(sync_stall_cycles);
 }
 
 void
-IntervalRecorder::restore(SnapshotReader &r)
+IntervalSample::visit(FieldVisitor &v)
 {
-    const Cycles cadence = r.getU64();
-    if (cadence != cadence_) {
-        throw SnapshotStateError(
-            "snapshot: interval cadence mismatch (snapshot " +
-            std::to_string(cadence) + " cycles, run configured for " +
-            std::to_string(cadence_) + ")");
-    }
-    next_cadence_ = r.getU64();
-    prev_cum_.restore(r);
-    samples_.clear();
-    // Counts are bounded by the bytes left before anything is reserved:
-    // a sample holds at least its t, kind, iteration and three counts.
-    const std::uint64_t count = r.getCount(8 + 1 + 8 + 3 * 8);
-    samples_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        IntervalSample s;
-        s.t = r.getU64();
-        const std::uint8_t kind = r.getU8();
-        if (kind > static_cast<std::uint8_t>(SampleKind::Final)) {
-            throw SnapshotStateError("snapshot: unknown interval sample "
-                                     "kind " + std::to_string(kind));
-        }
-        s.kind = static_cast<SampleKind>(kind);
-        s.iteration = r.getU64();
-        s.cum.restore(r);
-        s.delta.restore(r);
-        const std::uint64_t cores = r.getCount(4 * 8);
-        s.cores.reserve(cores);
-        for (std::uint64_t c = 0; c < cores; ++c) {
-            CoreIntervalStats core;
-            core.compute_cycles = r.getU64();
-            core.mem_stall_cycles = r.getU64();
-            core.atomic_stall_cycles = r.getU64();
-            core.sync_stall_cycles = r.getU64();
-            s.cores.push_back(core);
-        }
-        s.pisc_busy_cycles = r.getU64Vector();
-        s.sp_accesses = r.getU64Vector();
-        samples_.push_back(std::move(s));
-    }
+    v.state(t);
+    v.custom(
+        [this](SnapshotWriter &w) {
+            w.putU8(static_cast<std::uint8_t>(kind));
+        },
+        [this](SnapshotReader &r) {
+            const std::uint8_t k = r.getU8();
+            if (k > static_cast<std::uint8_t>(SampleKind::Final)) {
+                throw SnapshotStateError("snapshot: unknown interval sample "
+                                         "kind " + std::to_string(k));
+            }
+            kind = static_cast<SampleKind>(k);
+        });
+    v.state(iteration);
+    cum.visit(v);
+    delta.visit(v);
+    v.list(cores);
+    v.state(pisc_busy_cycles);
+    v.state(sp_accesses);
+}
+
+void
+IntervalRecorder::visit(FieldVisitor &v)
+{
+    v.config("interval cadence", cadence_);
+    v.state(next_cadence_);
+    prev_cum_.visit(v);
+    v.list(samples_);
 }
 
 } // namespace omega

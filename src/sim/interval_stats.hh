@@ -33,6 +33,7 @@
 
 namespace omega {
 
+class FieldVisitor;
 class JsonWriter;
 
 /** Why a sample was taken. */
@@ -52,6 +53,8 @@ struct CoreIntervalStats
     std::uint64_t mem_stall_cycles = 0;
     std::uint64_t atomic_stall_cycles = 0;
     std::uint64_t sync_stall_cycles = 0;
+
+    void visit(FieldVisitor &v);
 };
 
 /** One point of the time series. All component vectors are cumulative. */
@@ -72,6 +75,8 @@ struct IntervalSample
     std::vector<std::uint64_t> pisc_busy_cycles;
     /** Per-scratchpad cumulative accesses (OMEGA only). */
     std::vector<std::uint64_t> sp_accesses;
+
+    void visit(FieldVisitor &v);
 };
 
 /**
@@ -121,15 +126,12 @@ class IntervalRecorder
     void writeJson(JsonWriter &w) const;
 
     /**
-     * @name Snapshot support.
-     * Every recorded sample plus the cadence/delta bookkeeping, so a
-     * resumed run's series is byte-identical to the uninterrupted one.
-     * Cadence is run configuration and must match on restore.
-     * @{
+     * Snapshot fields: every recorded sample plus the cadence/delta
+     * bookkeeping, so a resumed run's series is byte-identical to the
+     * uninterrupted one. Cadence is run configuration and must match on
+     * restore.
      */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
-    /** @} */
+    void visit(FieldVisitor &v);
 
   private:
     Cycles cadence_;

@@ -6,8 +6,8 @@
 #include "sim/stats_report.hh"
 
 #include <algorithm>
-#include <string>
 
+#include "sim/field_visitor.hh"
 #include "util/json.hh"
 
 namespace omega {
@@ -128,25 +128,11 @@ StatsReport::hotVertexAccessFraction() const
 }
 
 void
-StatsReport::save(SnapshotWriter &w) const
+StatsReport::visit(FieldVisitor &v)
 {
-    w.putU64(fields().size());
+    v.config("stats report fields", fields().size());
     for (const StatsField &f : fields())
-        w.putU64(this->*f.member);
-}
-
-void
-StatsReport::restore(SnapshotReader &r)
-{
-    const std::uint64_t count = r.getU64();
-    if (count != fields().size()) {
-        throw SnapshotStateError(
-            "snapshot: stats report has " + std::to_string(count) +
-            " fields, this build has " +
-            std::to_string(fields().size()));
-    }
-    for (const StatsField &f : fields())
-        this->*f.member = r.getU64();
+        v.state(this->*f.member);
 }
 
 void
@@ -182,13 +168,6 @@ StatsReport::deltaFrom(const StatsReport &prev) const
         }
     }
     return d;
-}
-
-void
-StatsReport::dump(std::ostream &os, const std::string &prefix) const
-{
-    for (const StatsField &f : fields())
-        os << prefix << "." << f.name << " " << this->*f.member << "\n";
 }
 
 void

@@ -11,14 +11,13 @@
 #define OMEGA_SIM_STATS_REPORT_HH
 
 #include <cstdint>
-#include <ostream>
 #include <vector>
 
 #include "sim/params.hh"
-#include "sim/snapshot.hh"
 
 namespace omega {
 
+class FieldVisitor;
 class JsonWriter;
 struct StatsReport;
 
@@ -127,7 +126,7 @@ struct StatsReport
 
     /**
      * The reflection table: every counter above, with its merge kind.
-     * accumulate/deltaFrom/dump/writeJson all iterate this table, so a
+     * accumulate/deltaFrom/writeJson/visit all iterate this table, so a
      * new counter added here is automatically handled everywhere.
      */
     static const std::vector<StatsField> &fields();
@@ -146,22 +145,16 @@ struct StatsReport
      */
     StatsReport deltaFrom(const StatsReport &prev) const;
 
-    /** Dump all counters, one per line. */
-    void dump(std::ostream &os, const std::string &prefix = "sim") const;
-
     /** Emit all counters as one JSON object value. */
     void writeJson(JsonWriter &w) const;
 
     /**
-     * @name Snapshot support.
-     * Serialized through the reflection table (field count first), so a
-     * report saved by a build with a different counter set is rejected as
-     * a state error instead of silently shearing fields.
-     * @{
+     * Snapshot fields, through the reflection table with the field
+     * count first as a config, so a report saved by a build with a
+     * different counter set is rejected as a state error instead of
+     * silently shearing fields.
      */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
-    /** @} */
+    void visit(FieldVisitor &v);
 };
 
 } // namespace omega

@@ -1,12 +1,10 @@
 /**
  * @file
- * Tests for StatsReport accumulation/dump and the derived metrics the
+ * Tests for StatsReport accumulation and the derived metrics the
  * bench harnesses depend on.
  */
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "sim/stats_report.hh"
 #include "util/json.hh"
@@ -161,36 +159,6 @@ TEST(StatsReport, DeltasSumBackToCumulative)
     total.accumulate(s2.deltaFrom(s1));
     EXPECT_EQ(total.l1_accesses, s2.l1_accesses);
     EXPECT_EQ(total.dram_reads, s2.dram_reads);
-}
-
-TEST(StatsReport, DumpContainsEveryHeadlineCounter)
-{
-    std::ostringstream os;
-    sample().dump(os, "m");
-    const std::string out = os.str();
-    for (const char *key :
-         {"m.cycles", "m.l1_accesses", "m.l2_hits", "m.sp_accesses",
-          "m.dram_read_bytes", "m.atomics_total", "m.mem_stall_cycles",
-          "m.vtxprop_hot_accesses", "m.onchip_bytes",
-          // Regression: the max-type counters used to be missing here.
-          "m.pisc_max_busy_cycles", "m.dram_max_queue"}) {
-        EXPECT_NE(out.find(key), std::string::npos) << key;
-    }
-}
-
-TEST(StatsReport, DumpIsMachineParsable)
-{
-    std::ostringstream os;
-    sample().dump(os, "sim");
-    std::istringstream is(os.str());
-    std::string name;
-    std::uint64_t value;
-    int lines = 0;
-    while (is >> name >> value) {
-        ++lines;
-        EXPECT_EQ(name.rfind("sim.", 0), 0u) << name;
-    }
-    EXPECT_GT(lines, 25);
 }
 
 } // namespace

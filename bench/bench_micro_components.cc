@@ -169,6 +169,35 @@ BENCHMARK(BM_CsrBuild)
     ->UseRealTime();
 
 /**
+ * Args: scale, chunk count, kernel (0: the host's, 1: scalar forced).
+ * A graph built straight from an RmatSource, which draws every chunk
+ * twice and stores no edge list: BM_RmatGeneration plus BM_CsrBuild in
+ * one, without the list. Wall time; the label names the chunk kernel.
+ */
+void
+BM_RmatBuild(benchmark::State &state)
+{
+    const auto scale = static_cast<unsigned>(state.range(0));
+    const auto chunks = static_cast<unsigned>(state.range(1));
+    forceScalarRmatKernel(state.range(2) != 0);
+    state.SetLabel(rmatChunkKernel());
+    for (auto _ : state) {
+        Rng rng(6);
+        auto g = buildGraph(VertexId(1) << scale, RmatSource(scale, 8, rng),
+                            {}, chunks);
+        benchmark::DoNotOptimize(g.numArcs());
+    }
+    forceScalarRmatKernel(false);
+    state.SetItemsProcessed(state.iterations() * (1ll << scale) * 8);
+}
+BENCHMARK(BM_RmatBuild)
+    ->Args({12, 1, 0})
+    ->Args({16, 1, 0})
+    ->Args({16, ThreadPool::hardwareJobs(), 0})
+    ->Args({16, ThreadPool::hardwareJobs(), 1})
+    ->UseRealTime();
+
+/**
  * Args: chunk count. A scale-16 R-MAT graph renumbered into its
  * in-degree order, every out-row gathered and sorted; wall time, as for
  * BM_CsrBuild.

@@ -16,6 +16,12 @@
  * where the earlier chunks' items of that key end; the chunks then count
  * and scatter on their own, and the arrays are the same bytes for any
  * chunk count.
+ *
+ * Pass 1 reads its input from an EdgeSource, twice per chunk, and
+ * nothing else does. The order of a chunk's edges may differ between
+ * the two reads and from the list's: pass 2 reorders each destination
+ * bucket by source, and the parallel arcs of a row by weight, so a row
+ * depends only on the multiset of arcs it receives.
  */
 
 #include "graph/builder.hh"
@@ -48,16 +54,31 @@ struct Arc
 Graph
 buildGraph(VertexId num_vertices, EdgeList edges, const BuildOptions &opts)
 {
-    const unsigned chunks = setupChunks(edges.size());
-    return buildGraph(num_vertices, std::move(edges), opts, chunks);
+    return buildGraph(num_vertices, EdgeListSource(std::move(edges)), opts);
 }
 
 Graph
 buildGraph(VertexId num_vertices, EdgeList edges, const BuildOptions &opts,
            unsigned chunks)
 {
+    return buildGraph(num_vertices, EdgeListSource(std::move(edges)), opts,
+                      chunks);
+}
+
+Graph
+buildGraph(VertexId num_vertices, EdgeSource &&source,
+           const BuildOptions &opts)
+{
+    const unsigned chunks = setupChunks(source.size());
+    return buildGraph(num_vertices, std::move(source), opts, chunks);
+}
+
+Graph
+buildGraph(VertexId num_vertices, EdgeSource &&source,
+           const BuildOptions &opts, unsigned chunks)
+{
     const VertexId n = num_vertices;
-    const std::size_t m = edges.size();
+    const std::size_t m = source.size();
     omega_assert(chunks > 0, "buildGraph needs at least one chunk");
     omega_assert(m <= std::numeric_limits<std::uint32_t>::max() /
                           (opts.symmetrize ? 2 : 1),
@@ -76,24 +97,26 @@ buildGraph(VertexId num_vertices, EdgeList edges, const BuildOptions &opts,
         if (opts.symmetrize)
             arc(e.dst, e.src, e.weight);
     };
-    auto edge_chunk = [m, chunks](std::size_t c) {
-        return std::pair{m * c / chunks, m * (c + 1) / chunks};
+    auto read_chunk = [&source, m, chunks](std::size_t c,
+                                           const EdgeSink &sink) {
+        source.read(m * c / chunks, m * (c + 1) / chunks, sink);
     };
 
-    // Pass 1 scatters by destination, the less significant key, in edge
-    // order. The result is an in-CSR whose rows keep input order.
+    // Pass 1 scatters by destination, the less significant key. The
+    // result is an in-CSR whose rows hold each chunk's arcs in the order
+    // its second read yields them.
     ChunkCursors cursors(chunks, n);
     parallelFor(chunks, chunks, [&](std::size_t c) {
         std::uint32_t *count = cursors.zeroedRow(c);
-        const auto [lo, hi] = edge_chunk(c);
-        for (std::size_t i = lo; i < hi; ++i) {
-            const Edge &e = edges[i];
-            omega_assert(e.src < n && e.dst < n,
-                         "edge endpoint out of range");
-            arcs_of(e, [count](VertexId, VertexId d, std::int32_t) {
-                ++count[d];
-            });
-        }
+        read_chunk(c, [&](std::span<const Edge> batch) {
+            for (const Edge &e : batch) {
+                omega_assert(e.src < n && e.dst < n,
+                             "edge endpoint out of range");
+                arcs_of(e, [count](VertexId, VertexId d, std::int32_t) {
+                    ++count[d];
+                });
+            }
+        });
     });
     std::vector<EdgeId> in_off(n + std::size_t(1));
     cursors.countsToCursors(in_off);
@@ -101,14 +124,15 @@ buildGraph(VertexId num_vertices, EdgeList edges, const BuildOptions &opts,
     auto by_dst = std::make_unique_for_overwrite<Arc[]>(arcs);
     parallelFor(chunks, chunks, [&](std::size_t c) {
         std::uint32_t *cursor = cursors.row(c);
-        const auto [lo, hi] = edge_chunk(c);
-        for (std::size_t i = lo; i < hi; ++i) {
-            arcs_of(edges[i], [&](VertexId s, VertexId d, std::int32_t w) {
-                by_dst[cursor[d]++] = Arc{s, w};
-            });
-        }
+        read_chunk(c, [&](std::span<const Edge> batch) {
+            for (const Edge &e : batch) {
+                arcs_of(e, [&](VertexId s, VertexId d, std::int32_t w) {
+                    by_dst[cursor[d]++] = Arc{s, w};
+                });
+            }
+        });
     });
-    EdgeList().swap(edges);
+    source.release();
 
     // Pass 2 scatters that by source, walking destinations in ascending
     // order, so every out-row comes out sorted by destination.

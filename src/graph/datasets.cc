@@ -122,11 +122,11 @@ buildDataset(const DatasetSpec &spec, std::uint64_t seed)
         p.a = spec.rmat_a;
         p.b = spec.rmat_b;
         p.c = spec.rmat_c;
-        EdgeList edges =
-            generateRmat(spec.rmat_scale, spec.edge_factor, rng, p);
         BuildOptions opts;
         opts.symmetrize = !spec.directed;
-        return buildGraph(VertexId(1) << spec.rmat_scale, std::move(edges),
+        return buildGraph(VertexId(1) << spec.rmat_scale,
+                          RmatSource(spec.rmat_scale, spec.edge_factor, rng,
+                                     p),
                           opts);
       }
       case DatasetFamily::BarabasiAlbert: {

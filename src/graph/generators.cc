@@ -6,7 +6,9 @@
 #include "graph/generators.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <span>
 
 #include "graph/csr_scatter.hh"
 #include "util/logging.hh"
@@ -15,6 +17,16 @@
 namespace omega {
 
 namespace {
+
+/**
+ * The draws one R-MAT edge takes when its weight bound is a power of
+ * two: 2 * scale for the quadrants, one for the weight.
+ */
+constexpr std::uint64_t
+drawsPerArc(unsigned scale)
+{
+    return 2 * std::uint64_t(scale) + 1;
+}
 
 /** One R-MAT edge: 2 * scale draws for the quadrants, one for the weight. */
 Edge
@@ -74,20 +86,21 @@ unit8(U64x8 x)
 /**
  * The chunk's arcs [begin, end) as 8 lanes of consecutive arcs, each
  * lane on its own xoshiro256** stream started where the sequential draw
- * reaches its first arc; all eight streams step together, and a lane
- * past its last arc draws on but stores nothing. Each lane does
+ * reaches its first arc; all eight streams step together, each step
+ * hands emit(i, arc i) one arc per lane, and a lane past its last arc
+ * draws on but emits nothing. Each lane does
  * rmatEdge's double arithmetic in the same order, and the project
  * compiles with -ffp-contract=off, so no multiply-add fuses and every
  * arc is the sequential draw's bit for bit. The weight is 1 + the top
  * log2(max_weight) bits of the draw, which for a power-of-two bound is
  * exactly nextBounded's result: it never redraws.
  */
+template <typename Emit>
 __attribute__((target("avx512f,avx512dq"))) void
 rmatLanes8(unsigned scale, const Rng &rng, const RmatParams &params,
-           double d, EdgeId begin, EdgeId end, Edge *edges)
+           double d, EdgeId begin, EdgeId end, Emit emit)
 {
     constexpr unsigned kLanes = 8;
-    const std::uint64_t draws = 2 * std::uint64_t(scale) + 1;
     const EdgeId len = end - begin;
     EdgeId first[kLanes];
     EdgeId count[kLanes];
@@ -96,7 +109,7 @@ rmatLanes8(unsigned scale, const Rng &rng, const RmatParams &params,
         first[l] = begin + len * l / kLanes;
         count[l] = begin + len * (l + 1) / kLanes - first[l];
         Rng lane = rng;
-        lane.advance(first[l] * draws);
+        lane.advance(first[l] * drawsPerArc(scale));
         for (int w = 0; w < 4; ++w)
             s[w][l] = lane.stateWords()[w];
     }
@@ -122,18 +135,17 @@ rmatLanes8(unsigned scale, const Rng &rng, const RmatParams &params,
         const U64x8 w = 1 + ((next8(s) >> weight_shift) >> 1);
         for (unsigned l = 0; l < kLanes; ++l) {
             if (i < count[l]) {
-                edges[first[l] + i] =
-                    Edge{static_cast<VertexId>(src[l]),
-                         static_cast<VertexId>(dst[l]),
-                         static_cast<std::int32_t>(w[l])};
+                emit(first[l] + i, Edge{static_cast<VertexId>(src[l]),
+                                        static_cast<VertexId>(dst[l]),
+                                        static_cast<std::int32_t>(w[l])});
             }
         }
     }
 }
 
-/** The host runs rmatLanes8: decided once, on the CPU's feature bits. */
+/** The CPU has rmatLanes8's features: asked once. */
 bool
-useRmatLanes8()
+cpuRunsLanes8()
 {
     static const bool ok = __builtin_cpu_supports("avx512f") &&
                            __builtin_cpu_supports("avx512dq");
@@ -143,12 +155,67 @@ useRmatLanes8()
 #else
 
 bool
-useRmatLanes8()
+cpuRunsLanes8()
 {
     return false;
 }
 
 #endif
+
+/** Set by forceScalarRmatKernel. */
+std::atomic<bool> g_force_scalar_kernel{false};
+
+/**
+ * The one place the chunk kernel is chosen: rmatLanes8 where the CPU
+ * runs it, unless a test has forced the scalar kernel.
+ */
+bool
+useRmatLanes8()
+{
+    return cpuRunsLanes8() && !g_force_scalar_kernel.load();
+}
+
+/** Whether every arc takes drawsPerArc draws, so ranges can jump. */
+bool
+fixedDrawsPerArc(const RmatParams &params)
+{
+    // A power-of-two weight bound never makes nextBounded redraw.
+    return params.max_weight > 0 &&
+           std::has_single_bit(static_cast<std::uint32_t>(params.max_weight));
+}
+
+/** Panics on a scale or quadrant split that R-MAT cannot draw. */
+void
+checkRmatShape(unsigned scale, const RmatParams &params)
+{
+    omega_assert(scale > 0 && scale < 31, "rmat scale out of range");
+    omega_assert(1.0 - params.a - params.b - params.c > 0.0,
+                 "rmat quadrant probabilities must sum below 1");
+}
+
+/**
+ * Draw arcs [begin, end) of the R-MAT sequence that starts at @p rng,
+ * whose arcs take a fixed drawsPerArc(scale) draws each, calling
+ * emit(i, arc i) for each in an order of the kernel's choosing: the
+ * host's chunk kernel, from states jumped ahead to the range.
+ */
+template <typename Emit>
+void
+drawRmatRange(unsigned scale, const Rng &rng, const RmatParams &params,
+              EdgeId begin, EdgeId end, Emit emit)
+{
+    const double d = 1.0 - params.a - params.b - params.c;
+#if defined(__x86_64__)
+    if (useRmatLanes8()) {
+        rmatLanes8(scale, rng, params, d, begin, end, emit);
+        return;
+    }
+#endif
+    Rng range_rng = rng;
+    range_rng.advance(begin * drawsPerArc(scale));
+    for (EdgeId i = begin; i < end; ++i)
+        emit(i, rmatEdge(scale, range_rng, params, d));
+}
 
 } // namespace
 
@@ -156,6 +223,12 @@ const char *
 rmatChunkKernel()
 {
     return useRmatLanes8() ? "lanes8" : "scalar";
+}
+
+void
+forceScalarRmatKernel(bool scalar)
+{
+    g_force_scalar_kernel.store(scalar);
 }
 
 EdgeList
@@ -171,43 +244,72 @@ EdgeList
 generateRmat(unsigned scale, unsigned edge_factor, Rng &rng,
              const RmatParams &params, unsigned chunks)
 {
-    omega_assert(scale > 0 && scale < 31, "rmat scale out of range");
-    const double d = 1.0 - params.a - params.b - params.c;
-    omega_assert(d > 0.0, "rmat quadrant probabilities must sum below 1");
+    checkRmatShape(scale, params);
     omega_assert(chunks > 0, "generateRmat needs at least one chunk");
 
     const VertexId n = VertexId(1) << scale;
     const EdgeId m = static_cast<EdgeId>(n) * edge_factor;
 
-    // A power-of-two weight bound never makes nextBounded redraw, so
-    // every edge takes exactly 2 * scale + 1 draws and chunk c can jump
-    // straight to its first edge's draws.
-    if (chunks == 1 || params.max_weight <= 0 ||
-        !std::has_single_bit(static_cast<std::uint32_t>(params.max_weight))) {
+    // With a fixed draw count per edge, chunk c can jump straight to its
+    // first edge's draws.
+    if (chunks == 1 || !fixedDrawsPerArc(params)) {
+        const double d = 1.0 - params.a - params.b - params.c;
         EdgeList edges;
         edges.reserve(m);
         for (EdgeId i = 0; i < m; ++i)
             edges.push_back(rmatEdge(scale, rng, params, d));
         return edges;
     }
-    const std::uint64_t draws = 2 * std::uint64_t(scale) + 1;
     EdgeList edges(m);
     parallelFor(chunks, chunks, [&](std::size_t c) {
-        const EdgeId begin = m * c / chunks;
-        const EdgeId end = m * (c + 1) / chunks;
-#if defined(__x86_64__)
-        if (useRmatLanes8()) {
-            rmatLanes8(scale, rng, params, d, begin, end, edges.data());
-            return;
-        }
-#endif
-        Rng chunk_rng = rng;
-        chunk_rng.advance(begin * draws);
-        for (EdgeId i = begin; i < end; ++i)
-            edges[i] = rmatEdge(scale, chunk_rng, params, d);
+        drawRmatRange(scale, rng, params, m * c / chunks,
+                      m * (c + 1) / chunks,
+                      [&edges](EdgeId i, const Edge &e) { edges[i] = e; });
     });
-    rng.advance(m * draws);
+    rng.advance(m * drawsPerArc(scale));
     return edges;
+}
+
+RmatSource::RmatSource(unsigned scale, unsigned edge_factor, Rng &rng,
+                       const RmatParams &params)
+    : scale_(scale), params_(params), start_(rng),
+      size_((EdgeId(1) << std::min(scale, 31u)) * edge_factor)
+{
+    checkRmatShape(scale, params);
+    if (fixedDrawsPerArc(params))
+        rng.advance(size_ * drawsPerArc(scale));
+    else
+        drawn_ = generateRmat(scale, edge_factor, rng, params, 1);
+}
+
+void
+RmatSource::read(std::size_t begin, std::size_t end,
+                 const EdgeSink &sink) const
+{
+    if (!fixedDrawsPerArc(params_)) {
+        sink(std::span<const Edge>(drawn_).subspan(begin, end - begin));
+        return;
+    }
+    // Arcs reach the sink in batches small enough to stay in L1.
+    constexpr std::size_t kBatch = 256;
+    Edge batch[kBatch];
+    std::size_t held = 0;
+    drawRmatRange(scale_, start_, params_, begin, end,
+                  [&](EdgeId, const Edge &e) {
+                      batch[held++] = e;
+                      if (held == kBatch) {
+                          sink(std::span<const Edge>(batch, held));
+                          held = 0;
+                      }
+                  });
+    if (held > 0)
+        sink(std::span<const Edge>(batch, held));
+}
+
+void
+RmatSource::release()
+{
+    EdgeList().swap(drawn_);
 }
 
 EdgeList

@@ -11,6 +11,7 @@
 #ifndef OMEGA_GRAPH_GENERATORS_HH
 #define OMEGA_GRAPH_GENERATORS_HH
 
+#include "graph/builder.hh"
 #include "graph/graph.hh"
 #include "graph/types.hh"
 #include "util/rng.hh"
@@ -60,6 +61,44 @@ EdgeList generateRmat(unsigned scale, unsigned edge_factor, Rng &rng,
  * at a time). Both give the same bytes.
  */
 const char *rmatChunkKernel();
+
+/**
+ * Run the scalar chunk kernel even where the CPU has lanes8 (@p scalar
+ * true), or go back to the CPU's choice (false). For tests, which check
+ * both kernels on one host; call it while no R-MAT draw is running.
+ */
+void forceScalarRmatKernel(bool scalar);
+
+/**
+ * The arcs generateRmat(scale, edge_factor, rng, params) returns, as an
+ * EdgeSource that draws every range it is asked for afresh (with the
+ * same jump-ahead and chunk kernel as the chunked generateRmat) instead
+ * of storing the list; a range's arcs may come in lane order. The
+ * constructor leaves @p rng where generateRmat leaves it. A max_weight
+ * that is not a power of two makes the draw count per arc vary, so no
+ * range can be jumped to: the source then draws the list once,
+ * sequentially, and reads it.
+ */
+class RmatSource final : public EdgeSource
+{
+  public:
+    RmatSource(unsigned scale, unsigned edge_factor, Rng &rng,
+               const RmatParams &params = {});
+
+    std::size_t size() const override { return size_; }
+    void read(std::size_t begin, std::size_t end,
+              const EdgeSink &sink) const override;
+    void release() override;
+
+  private:
+    unsigned scale_;
+    RmatParams params_;
+    /** The caller's generator as it was before the draw. */
+    Rng start_;
+    EdgeId size_;
+    /** The whole list, drawn only when ranges cannot be jumped to. */
+    EdgeList drawn_;
+};
 
 /**
  * Generate a Barabasi-Albert preferential-attachment graph (undirected

@@ -4,7 +4,9 @@
  * malformed flags exit with a usage message instead of undefined
  * behavior; --faults arms every machine the session runs; a watchdog
  * trip flushes the partial --json document with "status": "aborted"
- * instead of losing the whole sweep; and an armed campaign's output —
+ * instead of losing the whole sweep, and with --checkpoint a post-mortem
+ * dump that no resume accepts and whose machine section restores
+ * exactly; and an armed campaign's output —
  * including the injected-event trace digest — is byte-identical across
  * repeated runs and across --jobs values.
  */
@@ -18,9 +20,15 @@
 #include <string>
 #include <vector>
 
+#include "algorithms/pagerank.hh"
 #include "bench_common.hh"
+#include "framework/engine.hh"
+#include "framework/properties.hh"
 #include "graph/datasets.hh"
 #include "sim/checkpoint.hh"
+#include "sim/fault.hh"
+#include "sim/field_visitor.hh"
+#include "sim/machine_registry.hh"
 #include "sim/snapshot.hh"
 
 namespace omega::bench {
@@ -144,19 +152,22 @@ TEST(BenchCliDeathTest, WatchdogTripFlushesAbortedJson)
 {
     // A lost-update campaign (retries disabled) trips the watchdog mid
     // sweep; the session must flush what it has with "status": "aborted"
-    // and exit(1) rather than losing the document.
+    // and exit(1) rather than losing the document. With --checkpoint the
+    // run also leaves a post-mortem dump of its machine.
     const std::string path = ::testing::TempDir() + "aborted.json";
-    const auto run = [&path] {
+    const std::string ckpt = ::testing::TempDir() + "aborted.ckpt";
+    const std::string faults =
+        "seed=5,nack-always=1,no-retry=1,watchdog=100000000";
+    const DatasetSpec sd = *findDataset("sd");
+    const auto run = [&] {
         std::vector<std::string> arg_strings = {
-            "bench", "--json", path, "--faults",
-            "seed=5,nack-always=1,no-retry=1,watchdog=100000000"};
+            "bench", "--json", path, "--faults", faults, "--checkpoint", ckpt};
         std::vector<char *> argv;
         for (std::string &s : arg_strings)
             argv.push_back(s.data());
         BenchSession session("bench", static_cast<int>(argv.size()),
                              argv.data());
-        const auto spec = findDataset("sd");
-        runOn(*spec, AlgorithmKind::PageRank, MachineKind::Omega);
+        runOn(sd, AlgorithmKind::PageRank, MachineKind::Omega);
     };
     EXPECT_EXIT(run(), ::testing::ExitedWithCode(1), "bench aborted");
     // The child process wrote the partial document before exiting.
@@ -166,6 +177,36 @@ TEST(BenchCliDeathTest, WatchdogTripFlushesAbortedJson)
     EXPECT_NE(doc.find("\"abort_reason\""), std::string::npos);
     EXPECT_NE(doc.find("\"fault_plan\""), std::string::npos);
     std::remove(path.c_str());
+
+    // The dump passes the file checks, a resume refuses it, and its one
+    // section restores into a fresh omega machine armed with the same
+    // plan and configured as runPageRank configures it, byte for byte.
+    const std::string pm_path = ckpt + ".postmortem";
+    const std::vector<std::uint8_t> pm = readSnapshotFile(pm_path);
+    CheckpointCoordinator resume;
+    EXPECT_THROW(resume.setResumePayload(pm), SnapshotStateError);
+    SnapshotReader r(pm);
+    EXPECT_NE(r.getString().find("sd|"), std::string::npos);
+    EXPECT_EQ(r.getU64(), 0u);
+    EXPECT_FALSE(r.getBool());
+    ASSERT_EQ(r.getU64(), 1u);
+    ASSERT_EQ(r.getString(), "machine");
+    const std::uint64_t size = r.getU64();
+    ASSERT_EQ(size, r.remaining());
+    std::unique_ptr<MemorySystem> m =
+        machineEntry("omega").make(machineFor(MachineKind::Omega, sd));
+    m->armFaults(*FaultPlan::parse(faults, nullptr));
+    const Graph &g = datasetGraph(sd);
+    PropertyRegistry props(g.numVertices());
+    props.create<double>("next_pagerank", 0.0);
+    props.allocOther(std::uint64_t(g.numVertices()) * 8);
+    Engine eng(g, props, pageRankUpdateFn(), m.get(), EngineOptions{});
+    eng.configureMachine();
+    SnapshotLoader loader(r);
+    m->visit(loader);
+    EXPECT_EQ(r.remaining(), 0u);
+    std::remove(pm_path.c_str());
+    std::remove((ckpt + ".journal").c_str());
 }
 
 /** One small armed sweep; returns the --json bytes. */

@@ -14,12 +14,14 @@
  * graphs, and every ReorderKind. The chunked kernels (buildGraph,
  * renumbered and generateRmat split over threads, each R-MAT chunk as
  * eight vector lanes on AVX-512DQ hosts) must give the same bytes at
- * every chunk count. The R-MAT edge list is pinned by hash, so
- * the generator's quadrant selection stays bit-for-bit, and a crafted
- * generator state catches a lane kernel whose noise term fuses into a
- * multiply-add. The graph's storage is pinned too: its heap bytes per
- * arc before and after the first in-row read, and a symmetric graph's
- * single CSR.
+ * every chunk count, under both R-MAT chunk kernels. The R-MAT edge
+ * list is pinned by hash, so the generator's quadrant selection stays
+ * bit-for-bit, and a crafted generator state catches a lane kernel
+ * whose noise term fuses into a multiply-add. A build that draws its
+ * arcs from an RmatSource must equal the build from generateRmat's
+ * list. The graph's storage is pinned too: its heap bytes per arc
+ * before and after the first in-row read, a symmetric graph's single
+ * CSR, and the most heap a build holds at once.
  */
 
 #include <gtest/gtest.h>
@@ -43,6 +45,7 @@
 #include "graph/reorder.hh"
 #include "testing/fuzz.hh"
 #include "util/rng.hh"
+#include "util/thread_pool.hh"
 
 namespace {
 
@@ -51,6 +54,15 @@ namespace {
  * its block with the requested size, so delete can subtract it again.
  */
 std::atomic<std::int64_t> g_live_heap_bytes{0};
+
+/** The most g_live_heap_bytes has reached since the last resetPeak(). */
+std::atomic<std::int64_t> g_peak_heap_bytes{0};
+
+void
+resetPeak()
+{
+    g_peak_heap_bytes = g_live_heap_bytes.load();
+}
 
 struct alignas(std::max_align_t) BlockHeader
 {
@@ -66,7 +78,11 @@ countedAlloc(std::size_t size) noexcept
     if (!h)
         return nullptr;
     h->size = size;
-    g_live_heap_bytes += static_cast<std::int64_t>(size);
+    const std::int64_t live =
+        g_live_heap_bytes += static_cast<std::int64_t>(size);
+    std::int64_t peak = g_peak_heap_bytes;
+    while (live > peak && !g_peak_heap_bytes.compare_exchange_weak(peak, live))
+        ;
     return h + 1;
 }
 
@@ -318,6 +334,25 @@ constexpr ReorderKind kAllKinds[] = {
 
 /** The chunk counts the chunked kernels are checked at. */
 constexpr unsigned kChunkCounts[] = {1, 2, 3, 4, 7};
+
+/**
+ * Run @p body under each R-MAT chunk kernel: the CPU's choice, then the
+ * scalar kernel forced. A host without AVX-512DQ runs scalar twice.
+ */
+template <typename Body>
+void
+forEachRmatKernel(Body &&body)
+{
+    for (const bool scalar : {false, true}) {
+        forceScalarRmatKernel(scalar);
+        if (scalar) {
+            EXPECT_STREQ(rmatChunkKernel(), "scalar");
+        }
+        SCOPED_TRACE(std::string("kernel=") + rmatChunkKernel());
+        body();
+    }
+    forceScalarRmatKernel(false);
+}
 
 TEST(BuildEquivalence, FuzzShapesUnderEveryBuildOption)
 {
@@ -610,6 +645,70 @@ TEST(GraphStorage, HeapBytesPerArc)
     }
 }
 
+/**
+ * The peak heap bytes above the live bytes at the call while @p run
+ * runs, counting what it frees before returning as still held.
+ */
+template <typename RunF>
+std::int64_t
+peakBytes(RunF &&run)
+{
+    const std::int64_t before = g_live_heap_bytes;
+    resetPeak();
+    run();
+    return g_peak_heap_bytes - before;
+}
+
+TEST(GraphStorage, RmatBuildPeak)
+{
+    // The most memory a build holds at once, in pass 2's transpose:
+    // the by-destination and by-source scratch (8 B per arc each, arcs
+    // counted before deduplication), the (chunks x n) 32-bit cursor
+    // table, and the in- and out-offsets (8 B per vertex + 1 each). The
+    // compaction that follows holds the by-source scratch and the
+    // graph's 8 B per kept arc, no more. Beyond that only O(chunks)
+    // bookkeeping: row ranges and the thread pool of one parallelFor,
+    // measured here as a pool running nothing, plus 256 B. From a list,
+    // pass 1 holds the list beside the by-destination scratch; from an
+    // RmatSource there is no list.
+    const unsigned scale = 12;
+    const unsigned edge_factor = 8;
+    const VertexId n = VertexId(1) << scale;
+    Rng list_rng(21);
+    const EdgeList edges = generateRmat(scale, edge_factor, list_rng);
+    const auto list = static_cast<std::int64_t>(sizeof(Edge) * edges.size());
+    for (const unsigned chunks : {1u, 4u}) {
+        const std::int64_t pool = peakBytes(
+            [chunks] { parallelFor(chunks, chunks, [](std::size_t) {}); });
+        for (const bool symmetric : {false, true}) {
+            SCOPED_TRACE(std::string(symmetric ? "symmetric" : "directed") +
+                         " chunks=" + std::to_string(chunks));
+            BuildOptions opts;
+            opts.symmetrize = symmetric;
+            std::int64_t arcs = 0;
+            for (const Edge &e : edges)
+                arcs += e.src == e.dst ? 0 : symmetric ? 2 : 1;
+            const std::int64_t fixed = 4 * std::int64_t(chunks) * n +
+                                       2 * 8 * (std::int64_t(n) + 1) +
+                                       pool + 256;
+            Rng rng(21);
+            const std::int64_t from_source = peakBytes([&] {
+                buildGraph(n, RmatSource(scale, edge_factor, rng), opts,
+                           chunks);
+            });
+            EXPECT_LE(from_source, 16 * arcs + fixed);
+            EdgeList copy = edges;
+            const std::int64_t from_list = peakBytes([&] {
+                buildGraph(n, std::move(copy), opts, chunks);
+            }) + list;
+            EXPECT_LE(from_list, std::max(list + 8 * arcs, 16 * arcs) + fixed);
+            if (!symmetric) {
+                EXPECT_LT(from_source, from_list);
+            }
+        }
+    }
+}
+
 /** FNV-1a over every field of every edge, in list order. */
 std::uint64_t
 edgeListHash(const EdgeList &edges)
@@ -633,19 +732,21 @@ TEST(BuildEquivalence, RmatEdgeListPinned)
 {
     // Pinned from the branchy quadrant selection the generator replaced:
     // any change to the RNG draws or the comparisons moves these.
-    Rng rng(42);
-    const EdgeList edges = generateRmat(12, 8, rng);
-    ASSERT_EQ(edges.size(), 32768u);
-    EXPECT_EQ(edgeListHash(edges), 0x9e794b02b915877aull);
+    forEachRmatKernel([] {
+        Rng rng(42);
+        const EdgeList edges = generateRmat(12, 8, rng);
+        ASSERT_EQ(edges.size(), 32768u);
+        EXPECT_EQ(edgeListHash(edges), 0x9e794b02b915877aull);
 
-    Rng skewed_rng(7);
-    RmatParams skewed;
-    skewed.a = 0.45;
-    skewed.b = 0.15;
-    skewed.c = 0.30;
-    skewed.max_weight = 1000;
-    EXPECT_EQ(edgeListHash(generateRmat(9, 16, skewed_rng, skewed)),
-              0xc47ee40f7f46c92full);
+        Rng skewed_rng(7);
+        RmatParams skewed;
+        skewed.a = 0.45;
+        skewed.b = 0.15;
+        skewed.c = 0.30;
+        skewed.max_weight = 1000;
+        EXPECT_EQ(edgeListHash(generateRmat(9, 16, skewed_rng, skewed)),
+                  0xc47ee40f7f46c92full);
+    });
 }
 
 /** Every edge and the generator's final state after one R-MAT draw. */
@@ -706,27 +807,29 @@ TEST(BuildEquivalence, RmatLanesMatchTheSequentialDraws)
     // hosts). Arc counts of 6 (fewer than one chunk's lanes: some lanes
     // are empty) and 40 (no multiple of 8 * chunks: lanes are uneven)
     // sit beside larger ones, under every R-MAT dataset's quadrant
-    // probabilities.
+    // probabilities, under both chunk kernels.
     RecordProperty("rmat_kernel", rmatChunkKernel());
     const std::pair<unsigned, unsigned> shapes[] = {
         {1, 3}, {3, 5}, {10, 7}, {16, 2}};
-    for (const DatasetSpec &spec : allDatasets()) {
-        if (spec.family != DatasetFamily::Rmat)
-            continue;
-        RmatParams params;
-        params.a = spec.rmat_a;
-        params.b = spec.rmat_b;
-        params.c = spec.rmat_c;
-        for (const auto &[scale, edge_factor] : shapes) {
-            const RmatDraw want = drawRmat(scale, edge_factor, params, 1);
-            for (unsigned chunks : {2u, 3u, 4u, 7u}) {
-                expectSameDraw(drawRmat(scale, edge_factor, params, chunks),
-                               want,
-                               spec.name + " scale=" + std::to_string(scale) +
-                                   " chunks=" + std::to_string(chunks));
+    forEachRmatKernel([&] {
+        for (const DatasetSpec &spec : allDatasets()) {
+            if (spec.family != DatasetFamily::Rmat)
+                continue;
+            RmatParams params;
+            params.a = spec.rmat_a;
+            params.b = spec.rmat_b;
+            params.c = spec.rmat_c;
+            for (const auto &[scale, ef] : shapes) {
+                const RmatDraw want = drawRmat(scale, ef, params, 1);
+                for (unsigned chunks : {2u, 3u, 4u, 7u}) {
+                    expectSameDraw(drawRmat(scale, ef, params, chunks), want,
+                                   spec.name +
+                                       " scale=" + std::to_string(scale) +
+                                       " chunks=" + std::to_string(chunks));
+                }
             }
         }
-    }
+    });
 }
 
 /** The inverse of odd @p a modulo 2^64, by Newton's iteration. */
@@ -842,18 +945,78 @@ TEST(BuildEquivalence, NonPowerOfTwoWeightsDrawSequentially)
 
 TEST(BuildEquivalence, RmatEdgeListPinnedAboveTheCutoff)
 {
-    // The rMat dataset's shape: 786432 arcs, drawn on every host core.
-    // Pinned from the sequential generator.
-    Rng rng(42);
-    const EdgeList edges = generateRmat(16, 12, rng);
-    ASSERT_EQ(edges.size(), 786432u);
-    EXPECT_EQ(edgeListHash(edges), 0x9c57ae6d159e6818ull);
-    const std::uint64_t state[4] = {0xbb66cd0624159481ull,
-                                    0xefb0b58b62bbc43dull,
-                                    0x0c33c159b206faa5ull,
-                                    0x4eb129e02b7b2f78ull};
-    for (int w = 0; w < 4; ++w)
-        EXPECT_EQ(rng.stateWords()[w], state[w]) << "state word " << w;
+    // The rMat dataset's shape: 786432 arcs, drawn on every host core
+    // by either chunk kernel. Pinned from the sequential generator.
+    forEachRmatKernel([] {
+        Rng rng(42);
+        const EdgeList edges = generateRmat(16, 12, rng);
+        ASSERT_EQ(edges.size(), 786432u);
+        EXPECT_EQ(edgeListHash(edges), 0x9c57ae6d159e6818ull);
+        const std::uint64_t state[4] = {0xbb66cd0624159481ull,
+                                        0xefb0b58b62bbc43dull,
+                                        0x0c33c159b206faa5ull,
+                                        0x4eb129e02b7b2f78ull};
+        for (int w = 0; w < 4; ++w)
+            EXPECT_EQ(rng.stateWords()[w], state[w]) << "state word " << w;
+    });
+}
+
+
+TEST(BuildEquivalence, RmatSourceMatchesTheListBuild)
+{
+    // A build that draws each chunk twice from an RmatSource gives every
+    // array of the build from generateRmat's list, and leaves the
+    // generator in the same state: every R-MAT dataset's quadrant
+    // probabilities, arc counts of 6, 40 and 7168 (empty and uneven
+    // lanes), every chunk count, directed and symmetrized, with and
+    // without deduplication, under both chunk kernels, and a weight
+    // bound that is not a power of two.
+    const std::pair<unsigned, unsigned> shapes[] = {{1, 3}, {3, 5}, {10, 7}};
+    auto check = [](unsigned scale, unsigned ef, const RmatParams &params,
+                    const std::string &name) {
+        const VertexId n = VertexId(1) << scale;
+        for (const bool symmetric : {false, true}) {
+            for (const bool dedup : {true, false}) {
+                BuildOptions opts;
+                opts.symmetrize = symmetric;
+                opts.deduplicate = dedup;
+                Rng list_rng(42);
+                const Csr want = csrOf(
+                    buildGraph(n, generateRmat(scale, ef, list_rng, params),
+                               opts));
+                for (unsigned chunks : kChunkCounts) {
+                    Rng rng(42);
+                    expectSameCsr(buildGraph(n, RmatSource(scale, ef, rng,
+                                                           params),
+                                             opts, chunks),
+                                  want,
+                                  name + " scale=" + std::to_string(scale) +
+                                      describe(opts) +
+                                      " chunks=" + std::to_string(chunks));
+                    for (int w = 0; w < 4; ++w) {
+                        EXPECT_EQ(rng.stateWords()[w],
+                                  list_rng.stateWords()[w])
+                            << "state word " << w;
+                    }
+                }
+            }
+        }
+    };
+    forEachRmatKernel([&] {
+        for (const DatasetSpec &spec : allDatasets()) {
+            if (spec.family != DatasetFamily::Rmat)
+                continue;
+            RmatParams params;
+            params.a = spec.rmat_a;
+            params.b = spec.rmat_b;
+            params.c = spec.rmat_c;
+            for (const auto &[scale, ef] : shapes)
+                check(scale, ef, params, spec.name);
+        }
+        RmatParams uneven_weights;
+        uneven_weights.max_weight = 1000;
+        check(10, 7, uneven_weights, "max_weight=1000");
+    });
 }
 
 } // namespace

@@ -28,10 +28,17 @@ namespace {
 
 using namespace omega;
 
+/**
+ * Arg: row scan (0: the CPU's, 1: scalar forced). The label names the
+ * scan the array took: "avx2" or "scalar".
+ */
 void
 BM_CacheArrayAccess(benchmark::State &state)
 {
+    forceScalarTagScan(state.range(0) != 0);
     CacheArray cache(256 * 1024, 8, 64);
+    forceScalarTagScan(false);
+    state.SetLabel(cache.tagScanKernel());
     Rng rng(1);
     std::vector<std::uint64_t> addrs(4096);
     for (auto &a : addrs)
@@ -44,19 +51,23 @@ BM_CacheArrayAccess(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CacheArrayAccess);
+BENCHMARK(BM_CacheArrayAccess)->Arg(0)->Arg(1);
 
+/** Arg and label as for BM_CacheArrayAccess; the label is the LLC's. */
 void
 BM_HierarchyAccessHit(benchmark::State &state)
 {
     MachineParams p = MachineParams::baseline().scaledCapacities(1.0 / 32);
+    forceScalarTagScan(state.range(0) != 0);
     CacheHierarchy h(p);
+    forceScalarTagScan(false);
+    state.SetLabel(h.llc().tagScanKernel());
     h.access(0, 0x1000, false, 0);
     for (auto _ : state)
         benchmark::DoNotOptimize(h.access(0, 0x1000, false, 0));
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_HierarchyAccessHit);
+BENCHMARK(BM_HierarchyAccessHit)->Arg(0)->Arg(1);
 
 void
 BM_HierarchyAccessRandom(benchmark::State &state)

@@ -31,7 +31,7 @@ using EdgeSink = std::function<void(std::span<const Edge>)>;
 
 /**
  * The edges buildGraph reads, by index range, twice per range: once to
- * count each destination's arcs and once to place them. A source that
+ * count each source's arcs and once to place them. A source that
  * can compute a range's edges again need not store them (RmatSource).
  */
 class EdgeSource
@@ -91,8 +91,9 @@ Graph buildGraph(VertexId num_vertices, EdgeList edges,
 
 /**
  * buildGraph split into @p chunks contiguous input chunks, run on up to
- * @p chunks threads. The result does not depend on @p chunks. The arc
- * count (edges, doubled when symmetrizing) must stay below 2^32.
+ * @p chunks threads. The result does not depend on @p chunks. The edge
+ * count, doubled when symmetrizing, must stay below 2^32 so that 32-bit
+ * row offsets hold every arc; a larger input panics before it is read.
  */
 Graph buildGraph(VertexId num_vertices, EdgeList edges,
                  const BuildOptions &opts, unsigned chunks);

@@ -1,9 +1,11 @@
 /**
  * @file
- * How graph setup splits its work: the size from which it runs on every
- * host core, the row ranges that the CSR build, Graph::renumbered and
- * the in-arc transpose hand to their workers, and the chunked counting
- * sort that transposes a CSR.
+ * How graph setup splits its work and orders its rows: the size from
+ * which it runs on every host core, the row ranges that the CSR build,
+ * Graph::renumbered and the in-arc transpose hand to their workers, the
+ * chunked counting sort that scatters arcs by row and transposes a CSR,
+ * and the per-row sort of packed arcs that the build and renumbering
+ * share.
  */
 
 #ifndef OMEGA_GRAPH_CSR_SCATTER_HH
@@ -13,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "graph/types.hh"
@@ -48,9 +51,11 @@ inline constexpr EdgeId kRowWork = 4;
  * and a range of short rows gets fewer arcs than a range of hubs.
  */
 inline std::vector<VertexId>
-rowChunks(VertexId n, const EdgeId *off, unsigned chunks)
+rowChunks(VertexId n, const RowOffset *off, unsigned chunks)
 {
-    auto work_before = [off](VertexId v) { return off[v] + kRowWork * v; };
+    auto work_before = [off](VertexId v) {
+        return EdgeId(off[v]) + kRowWork * v;
+    };
     std::vector<VertexId> first(chunks + std::size_t(1), n);
     for (unsigned c = 0; c < chunks; ++c) {
         // The first row whose preceding work reaches the target.
@@ -108,7 +113,7 @@ class ChunkCursors
      * chunk's. Key k's first position goes to starts[k], and the item
      * count to starts[keys]; @p starts must hold keys + 1 entries.
      */
-    void countsToCursors(std::vector<EdgeId> &starts)
+    void countsToCursors(std::vector<RowOffset> &starts)
     {
         std::uint32_t next = 0;
         for (VertexId k = 0; k < keys_; ++k) {
@@ -136,8 +141,8 @@ class ChunkCursors
  */
 template <typename NbrOf>
 void
-transposedOffsets(VertexId n, const EdgeId *off, NbrOf nbr_of,
-                  ChunkCursors &cursors, std::vector<EdgeId> &t_off)
+transposedOffsets(VertexId n, const RowOffset *off, NbrOf nbr_of,
+                  ChunkCursors &cursors, std::vector<RowOffset> &t_off)
 {
     const unsigned chunks = cursors.chunks();
     const std::vector<VertexId> first = rowChunks(n, off, chunks);
@@ -159,8 +164,8 @@ transposedOffsets(VertexId n, const EdgeId *off, NbrOf nbr_of,
  */
 template <typename NbrOf, typename Put>
 void
-transpose(VertexId n, const EdgeId *off, NbrOf nbr_of, ChunkCursors &cursors,
-          std::vector<EdgeId> &t_off, Put put)
+transpose(VertexId n, const RowOffset *off, NbrOf nbr_of,
+          ChunkCursors &cursors, std::vector<RowOffset> &t_off, Put put)
 {
     transposedOffsets(n, off, nbr_of, cursors, t_off);
     const unsigned chunks = cursors.chunks();
@@ -172,6 +177,77 @@ transpose(VertexId n, const EdgeId *off, NbrOf nbr_of, ChunkCursors &cursors,
                 put(cursor[nbr_of(i)]++, k, i);
         }
     });
+}
+
+/** The sign bit of an arc weight, flipped in a packed arc. */
+inline constexpr std::uint32_t kWeightSignBit = 0x80000000u;
+
+/**
+ * One arc of a row packed into a sort key: the neighbor above the
+ * weight, its sign bit flipped so signed order is unsigned order.
+ * Packed arcs sort by (neighbor, weight).
+ */
+inline std::uint64_t
+packArc(VertexId nbr, std::int32_t w)
+{
+    return (std::uint64_t(nbr) << 32) |
+           (static_cast<std::uint32_t>(w) ^ kWeightSignBit);
+}
+
+/** The neighbor of packed arc @p key. */
+inline VertexId
+arcNeighbor(std::uint64_t key)
+{
+    return static_cast<VertexId>(key >> 32);
+}
+
+/** The weight of packed arc @p key. */
+inline std::int32_t
+arcWeight(std::uint64_t key)
+{
+    return static_cast<std::int32_t>(static_cast<std::uint32_t>(key) ^
+                                     kWeightSignBit);
+}
+
+/**
+ * Sort the @p d packed arcs at @p a by neighbor, stably. Short rows take
+ * an insertion sort over the whole key, which orders parallel arcs by
+ * weight too. Longer ones take a least-significant-digit radix sort over
+ * the neighbor's low @p id_bits, one byte a pass, through @p tmp (d
+ * entries): no comparisons, so no mispredicted branches, but parallel
+ * arcs keep the order they came in. Renumbering's rows come from rows
+ * sorted by (neighbor, weight), so that order is already the weight
+ * order there; the build sorts each run of parallel arcs afterwards.
+ */
+inline void
+sortArcs(std::uint64_t *a, std::uint64_t *tmp, std::size_t d,
+         unsigned id_bits)
+{
+    if (d <= 32) {
+        for (std::size_t i = 1; i < d; ++i) {
+            const std::uint64_t x = a[i];
+            std::size_t j = i;
+            for (; j != 0 && x < a[j - 1]; --j)
+                a[j] = a[j - 1];
+            a[j] = x;
+        }
+        return;
+    }
+    std::uint64_t *src = a;
+    std::uint64_t *dst = tmp;
+    for (unsigned shift = 32; shift < 32 + id_bits; shift += 8) {
+        std::size_t pos[256] = {};
+        for (std::size_t i = 0; i < d; ++i)
+            ++pos[(src[i] >> shift) & 0xff];
+        std::size_t sum = 0;
+        for (std::size_t &p : pos)
+            sum += std::exchange(p, sum);
+        for (std::size_t i = 0; i < d; ++i)
+            dst[pos[(src[i] >> shift) & 0xff]++] = src[i];
+        std::swap(src, dst);
+    }
+    if (src != a)
+        std::copy_n(src, d, a);
 }
 
 } // namespace omega

@@ -15,68 +15,11 @@
 
 namespace omega {
 
-namespace {
-
-constexpr std::uint32_t kSignBit = 0x80000000u;
-
-/**
- * One arc of a row packed into a sort key: the neighbor above the
- * weight, its sign bit flipped so signed order is unsigned order.
- */
-std::uint64_t
-packArc(VertexId nbr, std::int32_t w)
-{
-    return (std::uint64_t(nbr) << 32) |
-           (static_cast<std::uint32_t>(w) ^ kSignBit);
-}
-
-/**
- * Sort the @p d packed arcs at @p a ascending. Each row comes from a
- * row sorted by (neighbor, weight) with its neighbors renamed, so its
- * parallel arcs are still in weight order and a stable sort by
- * neighbor alone sorts the whole key. Short rows take an insertion
- * sort. Longer ones take a least-significant-digit radix sort over the
- * neighbor's low @p id_bits, one byte a pass, through @p tmp (d
- * entries): no comparisons, so no mispredicted branches.
- */
-void
-sortArcs(std::uint64_t *a, std::uint64_t *tmp, std::size_t d,
-         unsigned id_bits)
-{
-    if (d <= 32) {
-        for (std::size_t i = 1; i < d; ++i) {
-            const std::uint64_t x = a[i];
-            std::size_t j = i;
-            for (; j != 0 && x < a[j - 1]; --j)
-                a[j] = a[j - 1];
-            a[j] = x;
-        }
-        return;
-    }
-    std::uint64_t *src = a;
-    std::uint64_t *dst = tmp;
-    for (unsigned shift = 32; shift < 32 + id_bits; shift += 8) {
-        std::size_t pos[256] = {};
-        for (std::size_t i = 0; i < d; ++i)
-            ++pos[(src[i] >> shift) & 0xff];
-        std::size_t sum = 0;
-        for (std::size_t &p : pos)
-            sum += std::exchange(p, sum);
-        for (std::size_t i = 0; i < d; ++i)
-            dst[pos[(src[i] >> shift) & 0xff]++] = src[i];
-        std::swap(src, dst);
-    }
-    if (src != a)
-        std::copy_n(src, d, a);
-}
-
-} // namespace
-
 Graph::Graph(VertexId num_vertices,
-             std::vector<EdgeId> out_offsets,
+             std::vector<RowOffset> out_offsets,
              std::vector<VertexId> out_neighbors,
              std::vector<std::int32_t> out_weights,
-             std::vector<EdgeId> in_offsets,
+             std::vector<RowOffset> in_offsets,
              bool symmetric)
     : num_vertices_(num_vertices),
       symmetric_(symmetric),
@@ -106,7 +49,7 @@ Graph::transposedInNeighbors(unsigned jobs) const
     // in-row by source, with parallel arcs side by side.
     const VertexId n = num_vertices_;
     ChunkCursors cursors(jobs, n);
-    std::vector<EdgeId> off(n + std::size_t(1));
+    std::vector<RowOffset> off(n + std::size_t(1));
     std::vector<VertexId> nbr(numArcs());
     transpose(
         n, out_offsets_.data(),
@@ -202,7 +145,7 @@ Graph::renumbered(const std::vector<VertexId> &order, unsigned jobs) const
     // New out-row k is old out-row order[k] with its neighbors renamed,
     // then sorted. Row ranges of about equal work fill concurrently,
     // each into its own rows through its own scratch of at most two rows.
-    std::vector<EdgeId> out_off(n + std::size_t(1));
+    std::vector<RowOffset> out_off(n + std::size_t(1));
     for (VertexId k = 0; k < n; ++k)
         out_off[k + 1] = out_off[k] + outDegree(order[k]);
     std::vector<VertexId> out_nbr(out_neighbors_.size());
@@ -224,16 +167,15 @@ Graph::renumbered(const std::vector<VertexId> &order, unsigned jobs) const
             }
             sortArcs(row.data(), tmp.data(), deg, id_bits);
             for (EdgeId i = 0; i < deg; ++i) {
-                out_nbr[to + i] = static_cast<VertexId>(row[i] >> 32);
-                out_w[to + i] = static_cast<std::int32_t>(
-                    static_cast<std::uint32_t>(row[i]) ^ kSignBit);
+                out_nbr[to + i] = arcNeighbor(row[i]);
+                out_w[to + i] = arcWeight(row[i]);
             }
         }
     });
 
     // New in-degree k is old in-degree order[k]. The in-rows are the
     // transpose of the new out-CSR, built on their first read.
-    std::vector<EdgeId> in_off;
+    std::vector<RowOffset> in_off;
     if (!symmetric_) {
         in_off.resize(n + std::size_t(1));
         for (VertexId k = 0; k < n; ++k)

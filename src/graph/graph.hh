@@ -29,7 +29,7 @@ namespace omega {
  */
 struct InArcs
 {
-    const EdgeId *offsets = nullptr;
+    const RowOffset *offsets = nullptr;
     const VertexId *neighbors = nullptr;
 
     /** Incoming neighbors of @p v, ascending. */
@@ -53,7 +53,8 @@ struct InArcs
  * per arc plus two offset arrays until then, 12 after. A symmetric
  * (undirected) graph's in-rows equal its out-rows, so it stores the
  * out-CSR once (8 bytes per arc plus one offset array) and the
- * in-accessors read the out arrays.
+ * in-accessors read the out arrays. Offsets are stored as 32-bit
+ * RowOffsets, 4 bytes per vertex and array, and returned as EdgeIds.
  */
 class Graph
 {
@@ -73,10 +74,10 @@ class Graph
      * @param symmetric true if the graph is undirected (in == out).
      */
     Graph(VertexId num_vertices,
-          std::vector<EdgeId> out_offsets,
+          std::vector<RowOffset> out_offsets,
           std::vector<VertexId> out_neighbors,
           std::vector<std::int32_t> out_weights,
-          std::vector<EdgeId> in_offsets,
+          std::vector<RowOffset> in_offsets,
           bool symmetric);
 
     VertexId numVertices() const { return num_vertices_; }
@@ -95,7 +96,7 @@ class Graph
     }
     EdgeId inDegree(VertexId v) const
     {
-        const EdgeId *off = inOffsets();
+        const RowOffset *off = inOffsets();
         return off[v + 1] - off[v];
     }
 
@@ -177,7 +178,7 @@ class Graph
 
     /** The in-offsets: the out-offsets when symmetric. One branch per
      *  call that never changes direction for a given graph. */
-    const EdgeId *inOffsets() const
+    const RowOffset *inOffsets() const
     {
         return symmetric_ ? out_offsets_.data() : in_offsets_.data();
     }
@@ -187,10 +188,10 @@ class Graph
 
     VertexId num_vertices_ = 0;
     bool symmetric_ = false;
-    std::vector<EdgeId> out_offsets_;
+    std::vector<RowOffset> out_offsets_;
     std::vector<VertexId> out_neighbors_;
     std::vector<std::int32_t> out_weights_;
-    std::vector<EdgeId> in_offsets_;
+    std::vector<RowOffset> in_offsets_;
     /** Directed graphs only; shared by copies, whose out-CSRs are the
      *  same bytes. */
     std::shared_ptr<LazyInNeighbors> in_neighbors_;

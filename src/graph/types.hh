@@ -18,6 +18,13 @@ using VertexId = std::uint32_t;
 /** Edge index / count type. */
 using EdgeId = std::uint64_t;
 
+/**
+ * A CSR row offset as a Graph stores it. buildGraph admits fewer than
+ * 2^32 arcs, so 32 bits hold every offset; the accessors widen it to
+ * EdgeId.
+ */
+using RowOffset = std::uint32_t;
+
 /** A directed edge with an optional weight (used by SSSP). */
 struct Edge
 {

@@ -6,11 +6,42 @@
 #include "sim/cache.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 
 #include "util/logging.hh"
 
 namespace omega {
+
+namespace {
+
+/** Set by forceScalarTagScan. */
+std::atomic<bool> g_force_scalar_tag_scan{false};
+
+/**
+ * The one place a CacheArray's row scan is chosen: the AVX2 scan for a
+ * geometry of exactly 8 ways on a host with AVX2, unless a test has
+ * forced the scalar scan; the scalar select otherwise.
+ */
+bool
+useAvx2TagScan(unsigned ways)
+{
+#if defined(__x86_64__)
+    static const bool cpu_has_avx2 = __builtin_cpu_supports("avx2");
+    return ways == 8 && cpu_has_avx2 && !g_force_scalar_tag_scan.load();
+#else
+    (void)ways;
+    return false;
+#endif
+}
+
+} // namespace
+
+void
+forceScalarTagScan(bool scalar)
+{
+    g_force_scalar_tag_scan.store(scalar);
+}
 
 CacheArray::CacheArray(std::uint64_t size_bytes, unsigned ways,
                        unsigned line_bytes)
@@ -34,9 +65,7 @@ CacheArray::CacheArray(std::uint64_t size_bytes, unsigned ways,
     lines_.assign(sets_ * ways_, CacheLine{});
     tags_.assign(sets_ * ways_, kEmptyTag);
     lru_.assign(sets_ * ways_, 0);
-#if defined(__x86_64__)
-    use_avx2_ = ways_ == 8 && __builtin_cpu_supports("avx2");
-#endif
+    use_avx2_ = useAvx2TagScan(ways_);
 }
 
 CacheAccessResult

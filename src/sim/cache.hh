@@ -70,6 +70,14 @@ struct CacheAccessResult
 };
 
 /**
+ * Give CacheArrays constructed from now on the scalar row scan even
+ * where the CPU has AVX2 (@p scalar true), or go back to the CPU's
+ * choice (false). For tests and microbenchmarks, which check both scans
+ * on one host; arrays already built keep theirs.
+ */
+void forceScalarTagScan(bool scalar);
+
+/**
  * Physically-indexed set-associative array with true-LRU replacement.
  *
  * The array stores only metadata; data movement is accounted by the
@@ -200,6 +208,13 @@ class CacheArray
     std::uint64_t setIndex(std::uint64_t addr) const { return setOf(addr); }
     std::uint64_t numSets() const { return sets_; }
     unsigned numWays() const { return ways_; }
+    /** The row scan this array took at construction: "avx2" (8 ways
+     *  on an AVX2 host, not forced scalar) or "scalar". Both give the
+     *  same results. */
+    const char *tagScanKernel() const
+    {
+        return use_avx2_ ? "avx2" : "scalar";
+    }
     std::uint64_t sizeBytes() const
     {
         return sets_ * ways_ * line_bytes_;
@@ -282,8 +297,8 @@ class CacheArray
      * 64 B host cache line). At most one way can match — kEmptyTag never
      * equals a real tag — so the combined movemask has at most one bit
      * set and countr_zero recovers the way index; an empty mask is the
-     * miss. Selected at construction only when the host has AVX2 and the
-     * geometry is exactly 8 ways; result-identical to the scalar select.
+     * miss. Selected at construction (useAvx2TagScan in cache.cc);
+     * result-identical to the scalar select.
      */
     __attribute__((target("avx2"))) unsigned
     findWay8Avx2(const std::uint64_t *tags, std::uint64_t tag) const
@@ -319,8 +334,8 @@ class CacheArray
     /** floor(2^64 / sets_) + 1; used only when !sets_pow2_. */
     std::uint64_t set_magic_ = 0;
     std::uint64_t lru_clock_ = 0;
-    /** Take the AVX2 row scan: exactly 8 ways on an AVX2-capable host
-     *  (decided once at construction; never flips afterwards). */
+    /** Take the AVX2 row scan: chosen at construction, never flipped
+     *  afterwards. */
     bool use_avx2_ = false;
     /** Optional insertion/promotion policy (GRASP); null = true LRU. */
     CachePolicy *policy_ = nullptr;

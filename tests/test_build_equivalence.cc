@@ -1,10 +1,11 @@
 /**
  * @file
- * Byte-equivalence oracle for the linear-time graph kernels.
+ * Byte-equivalence oracle for the graph setup kernels.
  *
- * buildGraph (a two-pass counting sort) and Graph::permuted (a per-row
- * gather and sort) must produce exactly the CSR arrays of the
- * comparison-sort formulations kept below as references: every offset,
+ * buildGraph (one scatter by source and a per-row sort) and
+ * Graph::permuted (a per-row gather and sort) must produce exactly the
+ * CSR arrays of the comparison-sort formulations kept below as
+ * references: every offset,
  * neighbor and out-weight (the in-CSR stores no weights). A directed
  * graph's in-rows, transposed from its out-CSR on their first read,
  * must equal the reference transpose, also when four threads read them
@@ -21,7 +22,8 @@
  * arcs from an RmatSource must equal the build from generateRmat's
  * list. The graph's storage is pinned too: its heap bytes per arc
  * before and after the first in-row read, a symmetric graph's single
- * CSR, and the most heap a build holds at once.
+ * CSR, the most heap a build holds at once, and the arc bound that
+ * 32-bit row offsets need.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +32,8 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <latch>
 #include <new>
@@ -69,10 +73,20 @@ struct alignas(std::max_align_t) BlockHeader
     std::size_t size;
 };
 
+/**
+ * The largest block a request may ask for before the process aborts:
+ * a death test lowers it to show that a build allocates nothing large.
+ */
+std::atomic<std::size_t> g_max_block{SIZE_MAX};
+
 /** The counted block for @p size bytes, or null when out of memory. */
 void *
 countedAlloc(std::size_t size) noexcept
 {
+    if (size > g_max_block.load()) {
+        std::fputs("a block of more than the limit was allocated\n", stderr);
+        std::abort();
+    }
     auto *h = static_cast<BlockHeader *>(
         std::malloc(sizeof(BlockHeader) + size));
     if (!h)
@@ -397,6 +411,43 @@ TEST(BuildEquivalence, DegenerateSizes)
     }
 }
 
+TEST(BuildEquivalence, HubRowsSortParallelArcsByWeight)
+{
+    // Rows longer than sortArcs' 32-arc insertion cutoff take its radix
+    // path, which orders by neighbor alone, so parallel arcs keep the
+    // order the scatter wrote them in: chunk by chunk. Here two hubs'
+    // parallel arcs arrive heaviest first, each run split over chunks,
+    // and a third hub's weights are random; 600 vertices make the radix
+    // sort take two byte passes. Directed and symmetrized (mirrored arcs
+    // make the neighbors' rows hubs too), with and without
+    // deduplication, at every chunk count.
+    const VertexId n = 600;
+    EdgeList edges;
+    for (std::int32_t k = 0; k < 240; ++k) {
+        edges.push_back(Edge{0, VertexId(1 + (k * 7) % 40), 500 - k});
+        edges.push_back(Edge{VertexId(1 + (k * 13) % 60), 599, 300 - k});
+    }
+    Rng rng(17);
+    for (int k = 0; k < 400; ++k) {
+        edges.push_back(Edge{
+            300, VertexId(rng.nextBounded(n)),
+            static_cast<std::int32_t>(rng.nextBounded(40)) - 20});
+    }
+    for (const bool symmetric : {false, true}) {
+        for (const bool dedup : {true, false}) {
+            BuildOptions opts;
+            opts.symmetrize = symmetric;
+            opts.deduplicate = dedup;
+            const Csr want = referenceBuild(n, edges, opts);
+            for (unsigned chunks : kChunkCounts) {
+                expectSameCsr(buildGraph(n, edges, opts, chunks), want,
+                              describe(opts) +
+                                  " chunks=" + std::to_string(chunks));
+            }
+        }
+    }
+}
+
 TEST(BuildEquivalence, PermutedUnderEveryReorderKind)
 {
     // Directed and symmetric graphs, plus graphs whose rows keep parallel
@@ -608,15 +659,16 @@ heldBytes(std::optional<Graph> &g, MakeF &&make)
 TEST(GraphStorage, HeapBytesPerArc)
 {
     // Directed: out neighbor and out weight, 8 bytes per arc, plus both
-    // offset arrays and the fixed cell that holds the in-neighbors once
-    // built; the first in-row read adds the in-neighbors, 4 bytes per
-    // arc. Symmetric: the out-CSR alone, 8 bytes per arc plus one offset
-    // array, and reading in-rows allocates nothing. Renumbering returns
-    // the unread form. Below kParallelSetupEdges, so setup starts no
-    // threads.
+    // offset arrays (4 bytes per vertex + 1 each) and the fixed cell
+    // that holds the in-neighbors once built; the first in-row read adds
+    // the in-neighbors, 4 bytes per arc. Symmetric: the out-CSR alone,
+    // 8 bytes per arc plus one offset array, and reading in-rows
+    // allocates nothing. Renumbering returns the unread form. Below
+    // kParallelSetupEdges, so setup starts no threads.
     std::optional<Graph> empty;
     const std::int64_t cell =
-        heldBytes(empty, [] { return buildGraph(0, {}); }) - 2 * 8;
+        heldBytes(empty, [] { return buildGraph(0, {}); }) -
+        2 * std::int64_t(sizeof(RowOffset));
     EXPECT_GT(cell, 0);
     EXPECT_LE(cell, 128);
     Rng rng(3);
@@ -630,7 +682,7 @@ TEST(GraphStorage, HeapBytesPerArc)
         const std::int64_t built = heldBytes(
             g, [&] { return buildGraph(n, EdgeList(edges), opts); });
         const auto arcs = static_cast<std::int64_t>(g->numArcs());
-        const std::int64_t offsets = 8 * (std::int64_t(n) + 1);
+        const std::int64_t offsets = 4 * (std::int64_t(n) + 1);
         const std::int64_t unread =
             symmetric ? 8 * arcs + offsets : 8 * arcs + 2 * offsets + cell;
         EXPECT_EQ(built, unread);
@@ -661,16 +713,17 @@ peakBytes(RunF &&run)
 
 TEST(GraphStorage, RmatBuildPeak)
 {
-    // The most memory a build holds at once, in pass 2's transpose:
-    // the by-destination and by-source scratch (8 B per arc each, arcs
-    // counted before deduplication), the (chunks x n) 32-bit cursor
-    // table, and the in- and out-offsets (8 B per vertex + 1 each). The
-    // compaction that follows holds the by-source scratch and the
-    // graph's 8 B per kept arc, no more. Beyond that only O(chunks)
-    // bookkeeping: row ranges and the thread pool of one parallelFor,
-    // measured here as a pool running nothing, plus 256 B. From a list,
-    // pass 1 holds the list beside the by-destination scratch; from an
-    // RmatSource there is no list.
+    // A build holds, with A arcs counted before deduplication and K
+    // kept, C chunks and n vertices, besides the out-offsets (4 B per
+    // vertex + 1) and the bookkeeping of one parallelFor (its thread
+    // pool, measured here as a pool running nothing, plus 256 B):
+    // - the scatter: the packed keys, 8 B per arc, and the (C x n)
+    //   32-bit cursor table, plus the list when it reads one;
+    // - the row sort: the keys and each range's radix scratch, at most
+    //   8 B per arc of the longest row, C times;
+    // - the unpack: the keys and the graph's 8 B per kept arc;
+    // - a directed graph's in-degree count: the graph, its in-offsets
+    //   and a fresh cursor table.
     const unsigned scale = 12;
     const unsigned edge_factor = 8;
     const VertexId n = VertexId(1) << scale;
@@ -685,27 +738,87 @@ TEST(GraphStorage, RmatBuildPeak)
                          " chunks=" + std::to_string(chunks));
             BuildOptions opts;
             opts.symmetrize = symmetric;
+            std::vector<std::int64_t> degree(n);
             std::int64_t arcs = 0;
-            for (const Edge &e : edges)
-                arcs += e.src == e.dst ? 0 : symmetric ? 2 : 1;
-            const std::int64_t fixed = 4 * std::int64_t(chunks) * n +
-                                       2 * 8 * (std::int64_t(n) + 1) +
-                                       pool + 256;
+            for (const Edge &e : edges) {
+                if (e.src == e.dst)
+                    continue;
+                ++degree[e.src];
+                ++arcs;
+                if (symmetric) {
+                    ++degree[e.dst];
+                    ++arcs;
+                }
+            }
+            const std::int64_t longest =
+                *std::max_element(degree.begin(), degree.end());
+            const std::int64_t kept = static_cast<std::int64_t>(
+                buildGraph(n, edges, opts).numArcs());
+            const std::int64_t offsets = 4 * (std::int64_t(n) + 1);
+            const std::int64_t cursors = 4 * std::int64_t(chunks) * n;
+            const std::int64_t scatter = 8 * arcs + cursors;
+            const std::int64_t others = std::max(
+                {8 * arcs + 8 * std::int64_t(chunks) * longest,
+                 8 * arcs + 8 * kept,
+                 symmetric ? 0 : 8 * kept + offsets + cursors});
+            const std::int64_t fixed = offsets + pool + 256;
             Rng rng(21);
             const std::int64_t from_source = peakBytes([&] {
                 buildGraph(n, RmatSource(scale, edge_factor, rng), opts,
                            chunks);
             });
-            EXPECT_LE(from_source, 16 * arcs + fixed);
+            EXPECT_LE(from_source, std::max(scatter, others) + fixed);
             EdgeList copy = edges;
             const std::int64_t from_list = peakBytes([&] {
                 buildGraph(n, std::move(copy), opts, chunks);
             }) + list;
-            EXPECT_LE(from_list, std::max(list + 8 * arcs, 16 * arcs) + fixed);
+            EXPECT_LE(from_list, std::max(list + scatter, others) + fixed);
             if (!symmetric) {
                 EXPECT_LT(from_source, from_list);
             }
         }
+    }
+}
+
+/**
+ * An EdgeSource that claims @p size edges and panics when read, so a
+ * build that reads it has not stopped at the arc bound.
+ */
+class ClaimedSizeSource final : public EdgeSource
+{
+  public:
+    explicit ClaimedSizeSource(std::size_t size) : size_(size) {}
+
+    std::size_t size() const override { return size_; }
+
+    void read(std::size_t, std::size_t, const EdgeSink &) const override
+    {
+        std::fputs("the oversized source was read\n", stderr);
+        std::abort();
+    }
+
+  private:
+    std::size_t size_;
+};
+
+TEST(GraphStorageDeathTest, ArcCountBeyondRowOffsetsPanicsFirst)
+{
+    // 32-bit row offsets hold fewer than 2^32 arcs: 2^32 edges, or 2^31
+    // mirrored ones, must panic before the source is read or any block
+    // larger than the panic message's is allocated (the cursor table
+    // and offsets of 2^16 vertices would take 256 KiB each).
+    const VertexId n = VertexId(1) << 16;
+    for (const bool symmetric : {false, true}) {
+        BuildOptions opts;
+        opts.symmetrize = symmetric;
+        const std::size_t too_many = std::size_t(1) << (symmetric ? 31 : 32);
+        EXPECT_DEATH(
+            {
+                g_max_block = 4096;
+                buildGraph(n, ClaimedSizeSource(too_many), opts, 1);
+            },
+            "too many arcs for 32-bit row offsets")
+            << (symmetric ? "symmetric" : "directed");
     }
 }
 

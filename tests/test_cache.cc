@@ -1,16 +1,38 @@
 /**
  * @file
- * Unit tests for the set-associative cache array.
+ * Unit tests for the set-associative cache array, under both row scans.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/cache.hh"
+#include "tag_scan.hh"
 
 namespace omega {
 namespace {
 
-TEST(CacheArray, GeometryFromSize)
+using CacheArrayTest = EveryTagScan;
+
+INSTANTIATE_TEST_SUITE_P(TagScan, CacheArrayTest, ::testing::Bool(),
+                         [](const auto &info) {
+                             return tagScanName(info.param);
+                         });
+
+TEST_P(CacheArrayTest, TakesTheRequestedRowScan)
+{
+    // Only an 8-way array can take the AVX2 scan, and only where the CPU
+    // has AVX2 and the scalar scan is not forced.
+    const CacheArray eight(32 * 1024, 8, 64);
+    const CacheArray four(32 * 1024, 4, 64);
+    RecordProperty("tag_scan", eight.tagScanKernel());
+    const bool avx2 = !GetParam() && __builtin_cpu_supports("avx2");
+    EXPECT_EQ(std::string(eight.tagScanKernel()), avx2 ? "avx2" : "scalar");
+    EXPECT_EQ(std::string(four.tagScanKernel()), "scalar");
+}
+
+TEST_P(CacheArrayTest, GeometryFromSize)
 {
     CacheArray c(32 * 1024, 8, 64);
     EXPECT_EQ(c.lineBytes(), 64u);
@@ -19,14 +41,14 @@ TEST(CacheArray, GeometryFromSize)
     EXPECT_EQ(c.sizeBytes(), 32u * 1024u);
 }
 
-TEST(CacheArray, TinySizeStillHasOneSet)
+TEST_P(CacheArrayTest, TinySizeStillHasOneSet)
 {
     CacheArray c(64, 8, 64);
     EXPECT_EQ(c.numSets(), 1u);
     EXPECT_EQ(c.sizeBytes(), 8u * 64u);
 }
 
-TEST(CacheArray, MissThenHit)
+TEST_P(CacheArrayTest, MissThenHit)
 {
     CacheArray c(4 * 1024, 4, 64);
     auto r1 = c.access(0x1000);
@@ -42,7 +64,7 @@ TEST(CacheArray, MissThenHit)
     EXPECT_FALSE(r4.hit);
 }
 
-TEST(CacheArray, LruEvictsOldest)
+TEST_P(CacheArrayTest, LruEvictsOldest)
 {
     // 2-way, 1 set: third distinct line evicts the least recently used.
     CacheArray c(128, 2, 64);
@@ -60,7 +82,7 @@ TEST(CacheArray, LruEvictsOldest)
     EXPECT_FALSE(c.probe(0x1000));
 }
 
-TEST(CacheArray, VictimSnapshotPreserved)
+TEST_P(CacheArrayTest, VictimSnapshotPreserved)
 {
     CacheArray c(64, 1, 64);
     auto r1 = c.access(0x0000);
@@ -77,7 +99,7 @@ TEST(CacheArray, VictimSnapshotPreserved)
     EXPECT_EQ(r2.line->sharers, 0);
 }
 
-TEST(CacheArray, InvalidateRemovesLine)
+TEST_P(CacheArrayTest, InvalidateRemovesLine)
 {
     CacheArray c(4 * 1024, 4, 64);
     c.access(0x40).line->state = LineState::Shared;
@@ -88,14 +110,14 @@ TEST(CacheArray, InvalidateRemovesLine)
     c.invalidate(0x9999940);
 }
 
-TEST(CacheArray, ProbeDoesNotAllocate)
+TEST_P(CacheArrayTest, ProbeDoesNotAllocate)
 {
     CacheArray c(4 * 1024, 4, 64);
     EXPECT_EQ(c.probe(0x80), nullptr);
     EXPECT_EQ(c.probe(0x80), nullptr);
 }
 
-TEST(CacheArray, InvalidWaysPreferredOverEviction)
+TEST_P(CacheArrayTest, InvalidWaysPreferredOverEviction)
 {
     CacheArray c(256, 4, 64); // 1 set, 4 ways
     c.access(0x0000).line->state = LineState::Exclusive;
@@ -105,7 +127,7 @@ TEST(CacheArray, InvalidWaysPreferredOverEviction)
     EXPECT_FALSE(r.evicted);
 }
 
-TEST(CacheArray, FlushClearsAll)
+TEST_P(CacheArrayTest, FlushClearsAll)
 {
     CacheArray c(1024, 2, 64);
     for (std::uint64_t a = 0; a < 8; ++a)
@@ -115,14 +137,14 @@ TEST(CacheArray, FlushClearsAll)
         EXPECT_EQ(c.probe(a * 64), nullptr);
 }
 
-TEST(CacheArray, LineAddrMasksOffset)
+TEST_P(CacheArrayTest, LineAddrMasksOffset)
 {
     CacheArray c(1024, 2, 64);
     EXPECT_EQ(c.lineAddr(0x1234), 0x1200u);
     EXPECT_EQ(c.lineAddr(0x1240), 0x1240u);
 }
 
-TEST(CacheArray, SetIndexSeparatesLines)
+TEST_P(CacheArrayTest, SetIndexSeparatesLines)
 {
     // 64 sets: addresses 64 B apart land in consecutive sets and never
     // evict each other until the capacity wraps.

@@ -2,7 +2,8 @@
  * @file
  * Model-checking-style property test: CacheArray against a simple
  * reference implementation (per-set LRU lists) over long random traces,
- * parameterized across geometries. Any divergence in hit/miss outcomes
+ * parameterized across geometries and both row scans (the CPU's and the
+ * scalar one forced). Any divergence in hit/miss outcomes
  * or victim choice is a bug in one of the two models — the reference is
  * small enough to inspect by eye.
  */
@@ -11,9 +12,12 @@
 
 #include <list>
 #include <map>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/cache.hh"
+#include "tag_scan.hh"
 #include "util/rng.hh"
 
 namespace omega {
@@ -83,13 +87,18 @@ struct Geometry
     unsigned line;
 };
 
-class CacheVsReference : public ::testing::TestWithParam<Geometry>
+/** A geometry, and whether the scalar row scan is forced. */
+class CacheVsReference
+    : public ::testing::TestWithParam<std::tuple<Geometry, bool>>
 {
+  protected:
+    CacheVsReference() { forceScalarTagScan(std::get<1>(GetParam())); }
+    ~CacheVsReference() override { forceScalarTagScan(false); }
 };
 
 TEST_P(CacheVsReference, RandomTraceAgrees)
 {
-    const Geometry geo = GetParam();
+    const Geometry geo = std::get<0>(GetParam());
     CacheArray cache(geo.size, geo.ways, geo.line);
     ReferenceCache ref(geo.size, geo.ways, geo.line);
     Rng rng(geo.size ^ geo.ways);
@@ -117,36 +126,51 @@ TEST_P(CacheVsReference, RandomTraceAgrees)
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheVsReference,
-    ::testing::Values(Geometry{1024, 2, 64},      // 8 sets x 2 ways
-                      Geometry{4096, 4, 64},      // 16 sets x 4 ways
-                      Geometry{512, 8, 64},       // single set, 8 ways
-                      Geometry{8192, 1, 64},      // direct mapped
-                      Geometry{2048, 4, 32},      // small lines
-                      Geometry{65536, 16, 128}),  // wide and big
+    ::testing::Combine(
+        ::testing::Values(Geometry{1024, 2, 64},     // 8 sets x 2 ways
+                          Geometry{4096, 4, 64},     // 16 sets x 4 ways
+                          Geometry{512, 8, 64},      // single set, 8 ways
+                          Geometry{32768, 8, 64},    // 64 sets x 8 ways
+                          Geometry{8192, 1, 64},     // direct mapped
+                          Geometry{2048, 4, 32},     // small lines
+                          Geometry{65536, 16, 128}), // wide and big
+        ::testing::Bool()),
     [](const auto &info) {
-        return "s" + std::to_string(info.param.size) + "w" +
-               std::to_string(info.param.ways) + "l" +
-               std::to_string(info.param.line);
+        const Geometry &geo = std::get<0>(info.param);
+        return "s" + std::to_string(geo.size) + "w" +
+               std::to_string(geo.ways) + "l" + std::to_string(geo.line) +
+               "_" + tagScanName(std::get<1>(info.param));
     });
 
-TEST(CacheVsReference, SkewedTraceAgrees)
+using SkewedVsReference = EveryTagScan;
+
+INSTANTIATE_TEST_SUITE_P(TagScan, SkewedVsReference, ::testing::Bool(),
+                         [](const auto &info) {
+                             return tagScanName(info.param);
+                         });
+
+TEST_P(SkewedVsReference, SkewedTraceAgrees)
 {
-    // Zipf-ish trace: the access pattern OMEGA targets.
-    CacheArray cache(2048, 4, 64);
-    ReferenceCache ref(2048, 4, 64);
-    Rng rng(7);
-    for (int i = 0; i < 20000; ++i) {
-        // 80% of accesses to 20% of a 16 KB footprint.
-        const bool hot = rng.nextBool(0.8);
-        const std::uint64_t addr =
-            hot ? rng.nextBounded(3277) : 3277 + rng.nextBounded(13107);
-        auto got = cache.access(addr);
-        if (!got.hit)
-            got.line->state = LineState::Shared;
-        const auto want = ref.access(addr);
-        ASSERT_EQ(got.hit, want.hit) << i;
-        if (want.evicted) {
-            ASSERT_EQ(got.victim_addr, want.victim_addr) << i;
+    // Zipf-ish trace: the access pattern OMEGA targets, on a 4-way
+    // array and on an 8-way one, which the AVX2 row scan serves.
+    for (const unsigned ways : {4u, 8u}) {
+        SCOPED_TRACE("ways=" + std::to_string(ways));
+        CacheArray cache(512 * ways, ways, 64);
+        ReferenceCache ref(512 * ways, ways, 64);
+        Rng rng(7);
+        for (int i = 0; i < 20000; ++i) {
+            // 80% of accesses to 20% of a 16 KB footprint.
+            const bool hot = rng.nextBool(0.8);
+            const std::uint64_t addr =
+                hot ? rng.nextBounded(3277) : 3277 + rng.nextBounded(13107);
+            auto got = cache.access(addr);
+            if (!got.hit)
+                got.line->state = LineState::Shared;
+            const auto want = ref.access(addr);
+            ASSERT_EQ(got.hit, want.hit) << i;
+            if (want.evicted) {
+                ASSERT_EQ(got.victim_addr, want.victim_addr) << i;
+            }
         }
     }
 }

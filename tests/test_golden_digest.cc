@@ -9,7 +9,8 @@
  * The digest covers the full BenchSession JSON document for PageRank on
  * the smallest fig14 dataset (sd), baseline and omega machines: machine
  * parameters, end-of-run StatsReport, derived metrics, the complete stat
- * tree and the interval time series.
+ * tree and the interval time series. Every document is checked under
+ * the CPU's CacheArray row scan and under the scalar scan forced.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include <string>
 
 #include "bench_common.hh"
+#include "tag_scan.hh"
 
 namespace omega {
 namespace {
@@ -27,6 +29,14 @@ namespace {
 using bench::BenchSession;
 using bench::MachineKind;
 using bench::runOn;
+
+/** Every document is pinned under both CacheArray row scans. */
+using GoldenDigest = EveryTagScan;
+
+INSTANTIATE_TEST_SUITE_P(TagScan, GoldenDigest, ::testing::Bool(),
+                         [](const auto &info) {
+                             return tagScanName(info.param);
+                         });
 
 /** FNV-1a 64-bit over the document bytes. */
 std::uint64_t
@@ -40,7 +50,7 @@ fnv1a(const std::string &bytes)
     return h;
 }
 
-TEST(GoldenDigest, Fig14PageRankSdJsonIsByteIdentical)
+TEST_P(GoldenDigest, Fig14PageRankSdJsonIsByteIdentical)
 {
     const std::string path = "golden_digest_fig14.json";
     {
@@ -100,7 +110,7 @@ sessionDocument(const std::string &path, Body &&body)
     return buf.str();
 }
 
-TEST(GoldenDigest, GraspPageRankSdJsonIsByteIdentical)
+TEST_P(GoldenDigest, GraspPageRankSdJsonIsByteIdentical)
 {
     // The GRASP machine's document: identical hardware parameters to the
     // baseline (the machine differs only in the installed LLC policy)
@@ -120,7 +130,7 @@ TEST(GoldenDigest, GraspPageRankSdJsonIsByteIdentical)
         << " bytes; digest 0x" << std::hex << fnv1a(doc) << ")";
 }
 
-TEST(GoldenDigest, ExplicitFourChannelTweakReproducesDefaultDocument)
+TEST_P(GoldenDigest, ExplicitFourChannelTweakReproducesDefaultDocument)
 {
     // dram_channels defaults to 4: routing the same value through the
     // sweep's tweak path must reproduce the pinned fig14 document byte
@@ -145,7 +155,7 @@ TEST(GoldenDigest, ExplicitFourChannelTweakReproducesDefaultDocument)
         << ")";
 }
 
-TEST(GoldenDigest, SingleChannelBaselineJsonIsByteIdentical)
+TEST_P(GoldenDigest, SingleChannelBaselineJsonIsByteIdentical)
 {
     // The channel design-space axis itself, pinned at its other end: a
     // 1-channel baseline run. Locks the per-channel serialization path

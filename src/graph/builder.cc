@@ -6,7 +6,8 @@
  * each row. A counting sort scatters every arc to its source's row, as
  * a packed (destination, weight) key; each row is then sorted by that
  * key (sortArcs, the kernel renumbering uses), deduplicated, and
- * unpacked into the final arrays. A directed graph also gets its
+ * unpacked into the final arrays, the weights at one byte each when
+ * every kept weight fits one. A directed graph also gets its
  * in-degrees, counted from the finished out-CSR; its in-rows wait for
  * their first read (Graph::inArcs). A symmetric graph stores the
  * out-CSR alone.
@@ -123,15 +124,18 @@ buildGraph(VertexId num_vertices, EdgeSource &&source,
     // sortArcs orders by destination alone and rows arrive in draw
     // order, so each run of parallel arcs is then sorted by weight;
     // deduplication keeps its first, lightest arc. Each row range
-    // compacts in place to its own start.
+    // compacts in place to its own start and notes whether every weight
+    // it keeps fits one byte.
     const unsigned id_bits = n > 1 ? std::bit_width(n - 1) : 0;
     const std::vector<VertexId> first = rowChunks(n, out_off.data(), chunks);
     std::vector<RowOffset> range_start(chunks);
     for (unsigned c = 0; c < chunks; ++c)
         range_start[c] = out_off[first[c]];
     std::vector<RowOffset> range_kept(chunks);
+    std::vector<char> range_narrow(chunks);
     parallelFor(chunks, chunks, [&](std::size_t c) {
         std::vector<std::uint64_t> tmp;
+        bool narrow = true;
         RowOffset kept = range_start[c];
         RowOffset row_begin = range_start[c];
         for (VertexId s = first[c]; s < first[c + 1]; ++s) {
@@ -150,28 +154,35 @@ buildGraph(VertexId num_vertices, EdgeSource &&source,
                     std::sort(row + i, row + run_end);
                 const std::size_t keep_end =
                     opts.deduplicate ? i + 1 : run_end;
-                for (; i < keep_end; ++i)
+                for (; i < keep_end; ++i) {
+                    narrow &= ArcWeights::fitsNarrow(arcWeight(row[i]));
                     keys[kept++] = row[i];
+                }
                 i = run_end;
             }
             row_begin = row_end;
             out_off[s + 1] = kept;
         }
         range_kept[c] = kept - range_start[c];
+        range_narrow[c] = narrow;
     });
 
-    // Unpack each range's kept arcs into the final arrays.
+    // Unpack each range's kept arcs into the final arrays. The weights
+    // take one byte each when every kept weight fits one, which does not
+    // depend on how the rows were split into ranges.
     std::vector<RowOffset> range_dest(chunks + std::size_t(1), 0);
     for (unsigned c = 0; c < chunks; ++c)
         range_dest[c + 1] = range_dest[c] + range_kept[c];
     const RowOffset kept = range_dest[chunks];
     std::vector<VertexId> out_nbr(kept);
-    std::vector<std::int32_t> out_w(kept);
+    ArcWeights out_w(kept, std::all_of(range_narrow.begin(),
+                                       range_narrow.end(),
+                                       [](char n) { return n != 0; }));
     parallelFor(chunks, chunks, [&](std::size_t c) {
         const std::uint64_t *from = keys.get() + range_start[c];
         for (RowOffset j = 0; j < range_kept[c]; ++j) {
             out_nbr[range_dest[c] + j] = arcNeighbor(from[j]);
-            out_w[range_dest[c] + j] = arcWeight(from[j]);
+            out_w.set(range_dest[c] + j, arcWeight(from[j]));
         }
         const RowOffset shift = range_start[c] - range_dest[c];
         for (VertexId s = first[c]; s < first[c + 1]; ++s)

@@ -18,7 +18,7 @@ namespace omega {
 Graph::Graph(VertexId num_vertices,
              std::vector<RowOffset> out_offsets,
              std::vector<VertexId> out_neighbors,
-             std::vector<std::int32_t> out_weights,
+             ArcWeights out_weights,
              std::vector<RowOffset> in_offsets,
              bool symmetric)
     : num_vertices_(num_vertices),
@@ -91,6 +91,13 @@ Graph::validate() const
     if (!std::all_of(out_neighbors_.begin(), out_neighbors_.end(),
                      [this](VertexId u) { return u < num_vertices_; }))
         return false;
+    // One weight per arc, four bytes wide only when one needs it.
+    if (out_weights_.size() != out_neighbors_.size())
+        return false;
+    const WeightRow weights = out_weights_.row(0, out_weights_.size());
+    if (!out_weights_.narrow() &&
+        std::all_of(weights.begin(), weights.end(), ArcWeights::fitsNarrow))
+        return false;
     if (symmetric_)
         return true;
     // The in-offsets: every in-degree is the number of arcs into its
@@ -149,7 +156,7 @@ Graph::renumbered(const std::vector<VertexId> &order, unsigned jobs) const
     for (VertexId k = 0; k < n; ++k)
         out_off[k + 1] = out_off[k] + outDegree(order[k]);
     std::vector<VertexId> out_nbr(out_neighbors_.size());
-    std::vector<std::int32_t> out_w(out_weights_.size());
+    ArcWeights out_w(out_weights_.size(), out_weights_.narrow());
     const unsigned id_bits = n > 1 ? std::bit_width(n - 1) : 0;
     const std::vector<VertexId> first = rowChunks(n, out_off.data(), jobs);
     parallelFor(jobs, jobs, [&](std::size_t c) {
@@ -168,7 +175,7 @@ Graph::renumbered(const std::vector<VertexId> &order, unsigned jobs) const
             sortArcs(row.data(), tmp.data(), deg, id_bits);
             for (EdgeId i = 0; i < deg; ++i) {
                 out_nbr[to + i] = arcNeighbor(row[i]);
-                out_w[to + i] = arcWeight(row[i]);
+                out_w.set(to + i, arcWeight(row[i]));
             }
         }
     });

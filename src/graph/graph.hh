@@ -13,6 +13,9 @@
 #ifndef OMEGA_GRAPH_GRAPH_HH
 #define OMEGA_GRAPH_GRAPH_HH
 
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -42,19 +45,156 @@ struct InArcs
 };
 
 /**
+ * The weights of one out-row, read as int32_t whatever width the graph
+ * stores them at. Exactly one of its pointers is set unless the row is
+ * empty.
+ */
+class WeightRow
+{
+  public:
+    class iterator;
+
+    WeightRow() = default;
+    WeightRow(const std::int8_t *narrow, const std::int32_t *wide,
+              std::size_t size)
+        : narrow_(narrow), wide_(wide), size_(size)
+    {
+    }
+
+    std::int32_t operator[](std::size_t i) const
+    {
+        return narrow_ ? narrow_[i] : wide_[i];
+    }
+    std::size_t size() const { return size_; }
+    iterator begin() const;
+    iterator end() const;
+
+  private:
+    const std::int8_t *narrow_ = nullptr;
+    const std::int32_t *wide_ = nullptr;
+    std::size_t size_ = 0;
+};
+
+/** Walks the row's weights in order. */
+class WeightRow::iterator
+{
+  public:
+    using iterator_category = std::input_iterator_tag;
+    using iterator_concept = std::forward_iterator_tag;
+    using value_type = std::int32_t;
+    using difference_type = std::ptrdiff_t;
+
+    iterator() = default;
+    iterator(const WeightRow &row, std::size_t i) : row_(row), i_(i) {}
+
+    std::int32_t operator*() const { return row_[i_]; }
+    iterator &operator++()
+    {
+        ++i_;
+        return *this;
+    }
+    iterator operator++(int)
+    {
+        iterator was = *this;
+        ++i_;
+        return was;
+    }
+    bool operator==(const iterator &o) const { return i_ == o.i_; }
+
+  private:
+    WeightRow row_;
+    std::size_t i_ = 0;
+};
+
+inline WeightRow::iterator
+WeightRow::begin() const
+{
+    return {*this, 0};
+}
+
+inline WeightRow::iterator
+WeightRow::end() const
+{
+    return {*this, size_};
+}
+
+/**
+ * A graph's out-weights, one per arc: one byte each when every weight
+ * fits an int8_t (narrow), four otherwise (wide). The width is the
+ * caller's to choose from the weights (buildGraph) or to inherit from a
+ * store of the same weights (Graph::renumbered); nothing else sets it.
+ */
+class ArcWeights
+{
+  public:
+    /** True if @p w fits the one-byte store. */
+    static constexpr bool fitsNarrow(std::int32_t w)
+    {
+        return w >= INT8_MIN && w <= INT8_MAX;
+    }
+
+    ArcWeights() = default;
+    /** @p arcs zero weights, narrow or wide. */
+    ArcWeights(std::size_t arcs, bool narrow) : narrow_(narrow)
+    {
+        if (narrow_)
+            bytes_.resize(arcs);
+        else
+            words_.resize(arcs);
+    }
+
+    bool narrow() const { return narrow_; }
+    /** Bytes each weight takes: 1 narrow, 4 wide. */
+    unsigned bytesPerWeight() const { return narrow_ ? 1 : 4; }
+    std::size_t size() const
+    {
+        return narrow_ ? bytes_.size() : words_.size();
+    }
+
+    std::int32_t operator[](std::size_t i) const
+    {
+        return narrow_ ? bytes_[i] : words_[i];
+    }
+    /** Store @p w at arc @p i; a narrow store needs fitsNarrow(w). */
+    void set(std::size_t i, std::int32_t w)
+    {
+        if (narrow_)
+            bytes_[i] = static_cast<std::int8_t>(w);
+        else
+            words_[i] = w;
+    }
+    /** The weights of arcs [begin, end). */
+    WeightRow row(std::size_t begin, std::size_t end) const
+    {
+        if (narrow_)
+            return {bytes_.data() + begin, nullptr, end - begin};
+        return {nullptr, words_.data() + begin, end - begin};
+    }
+
+  private:
+    bool narrow_ = true;
+    std::vector<std::int8_t> bytes_;
+    std::vector<std::int32_t> words_;
+};
+
+/**
  * Immutable CSR graph.
  *
  * Each direction stores only what is read. The out-CSR keeps offsets,
  * neighbors and weights: the push phase of edgeMap hands every arc's
- * weight to the update. A directed graph keeps its in-offsets, which
+ * weight to the update. The weights take one byte each when every
+ * weight of the graph fits an int8_t, as the datasets' small integer
+ * weights do, and four otherwise (ArcWeights); outWeights() reads
+ * int32_t either way. A directed graph keeps its in-offsets, which
  * give every in-degree, and builds its in-neighbors (no weights: the
  * pull phase reads none) on the first inArcs() or inNeighbors() call by
- * transposing the out-CSR; copies share that build. It holds 8 bytes
- * per arc plus two offset arrays until then, 12 after. A symmetric
- * (undirected) graph's in-rows equal its out-rows, so it stores the
- * out-CSR once (8 bytes per arc plus one offset array) and the
- * in-accessors read the out arrays. Offsets are stored as 32-bit
- * RowOffsets, 4 bytes per vertex and array, and returned as EdgeIds.
+ * transposing the out-CSR; copies share that build. With one-byte
+ * weights it holds 5 bytes per arc plus two offset arrays until then,
+ * 9 after. A symmetric (undirected) graph's in-rows equal its out-rows,
+ * so it stores the out-CSR once (5 bytes per arc plus one offset array)
+ * and the in-accessors read the out arrays. Four-byte weights add 3
+ * bytes per arc. Offsets are stored as 32-bit RowOffsets, 4 bytes per
+ * vertex and array, and returned as EdgeIds.
  */
 class Graph
 {
@@ -67,7 +207,8 @@ class Graph
      * @param num_vertices number of vertices.
      * @param out_offsets CSR row offsets for outgoing edges, size V+1.
      * @param out_neighbors destination vertex per outgoing edge.
-     * @param out_weights weight per outgoing edge (same order).
+     * @param out_weights weight per outgoing edge (same order), at the
+     *        width its builder chose.
      * @param in_offsets CSR row offsets for incoming edges, size V+1
      *        (the in-degrees of the out-CSR's arcs); empty when
      *        @p symmetric.
@@ -76,7 +217,7 @@ class Graph
     Graph(VertexId num_vertices,
           std::vector<RowOffset> out_offsets,
           std::vector<VertexId> out_neighbors,
-          std::vector<std::int32_t> out_weights,
+          ArcWeights out_weights,
           std::vector<RowOffset> in_offsets,
           bool symmetric);
 
@@ -123,18 +264,24 @@ class Graph
         return inArcs().row(v);
     }
     /** Weights parallel to outNeighbors(v). */
-    std::span<const std::int32_t> outWeights(VertexId v) const
+    WeightRow outWeights(VertexId v) const
     {
-        return {out_weights_.data() + out_offsets_[v],
-                out_weights_.data() + out_offsets_[v + 1]};
+        return out_weights_.row(out_offsets_[v], out_offsets_[v + 1]);
     }
+    /** Bytes each stored out-weight takes: 1 when every weight fits an
+     *  int8_t, else 4. */
+    unsigned weightBytes() const { return out_weights_.bytesPerWeight(); }
 
     /** Global edge index of the first outgoing edge of @p v. */
     EdgeId outEdgeBase(VertexId v) const { return out_offsets_[v]; }
     /** Global edge index of the first incoming edge of @p v. */
     EdgeId inEdgeBase(VertexId v) const { return inOffsets()[v]; }
 
-    /** True if the CSR invariants hold (sorted offsets, ids in range). */
+    /**
+     * True if the CSR invariants hold: sorted offsets, ids in range, a
+     * weight per arc, and four-byte weights only when some weight needs
+     * them.
+     */
     bool validate() const;
 
     /** Rebuild the graph with vertices renamed by @p perm (new = perm[old]). */
@@ -190,7 +337,7 @@ class Graph
     bool symmetric_ = false;
     std::vector<RowOffset> out_offsets_;
     std::vector<VertexId> out_neighbors_;
-    std::vector<std::int32_t> out_weights_;
+    ArcWeights out_weights_;
     std::vector<RowOffset> in_offsets_;
     /** Directed graphs only; shared by copies, whose out-CSRs are the
      *  same bytes. */

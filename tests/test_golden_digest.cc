@@ -10,17 +10,23 @@
  * the smallest fig14 dataset (sd), baseline and omega machines: machine
  * parameters, end-of-run StatsReport, derived metrics, the complete stat
  * tree and the interval time series. Every document is checked under
- * the CPU's CacheArray row scan and under the scalar scan forced.
+ * the CPU's CacheArray row scan and under the scalar scan forced, and
+ * the sd graph they run on is checked to be the same under both R-MAT
+ * chunk kernels.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "bench_common.hh"
+#include "graph/datasets.hh"
+#include "graph/generators.hh"
+#include "graph/reorder.hh"
 #include "tag_scan.hh"
 
 namespace omega {
@@ -172,6 +178,46 @@ TEST_P(GoldenDigest, SingleChannelBaselineJsonIsByteIdentical)
     EXPECT_EQ(fnv1a(doc), kPinnedOneChannelDigest)
         << "1-channel document diverged (" << doc.size()
         << " bytes; digest 0x" << std::hex << fnv1a(doc) << ")";
+}
+
+TEST(GoldenDigestGraph, SdIsTheSameUnderBothRmatKernels)
+{
+    // Every document above runs on the sd graph that datasetGraph caches
+    // for the process, built under the CPU's R-MAT chunk kernel. Rebuilt
+    // as datasetGraph builds it but under the scalar kernel, every array
+    // is the same, so each pinned document holds under both kernels. A
+    // host without AVX-512DQ runs the scalar kernel both times.
+    RecordProperty("rmat_kernel", rmatChunkKernel());
+    const auto spec = findDataset("sd");
+    ASSERT_TRUE(spec.has_value());
+    forceScalarRmatKernel(false);
+    const Graph &cached = bench::datasetGraph(*spec);
+    forceScalarRmatKernel(true);
+    EXPECT_STREQ(rmatChunkKernel(), "scalar");
+    const Graph scalar =
+        reorderGraph(buildDataset(*spec), ReorderKind::InDegreeNthElement);
+    forceScalarRmatKernel(false);
+
+    ASSERT_TRUE(scalar.validate());
+    ASSERT_EQ(scalar.numVertices(), cached.numVertices());
+    ASSERT_EQ(scalar.numArcs(), cached.numArcs());
+    EXPECT_EQ(scalar.symmetric(), cached.symmetric());
+    EXPECT_EQ(scalar.weightBytes(), cached.weightBytes());
+    for (VertexId v = 0; v < cached.numVertices(); ++v) {
+        ASSERT_EQ(scalar.outEdgeBase(v), cached.outEdgeBase(v)) << v;
+        ASSERT_EQ(scalar.inEdgeBase(v), cached.inEdgeBase(v)) << v;
+        ASSERT_EQ(scalar.inDegree(v), cached.inDegree(v)) << v;
+        const auto nbr = scalar.outNeighbors(v);
+        const auto want_nbr = cached.outNeighbors(v);
+        ASSERT_TRUE(std::equal(nbr.begin(), nbr.end(), want_nbr.begin(),
+                               want_nbr.end()))
+            << "out-neighbors of " << v;
+        const auto w = scalar.outWeights(v);
+        const auto want_w = cached.outWeights(v);
+        ASSERT_TRUE(std::equal(w.begin(), w.end(), want_w.begin(),
+                               want_w.end()))
+            << "out-weights of " << v;
+    }
 }
 
 } // namespace
